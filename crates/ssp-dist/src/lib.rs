@@ -10,9 +10,11 @@
 //!   hardened parser, GROUP_DONE as framed binary + metrics JSON).
 //! * [`registry`] — named workloads both sides rebuild from `(name, args)`;
 //!   code never crosses the wire.
-//! * [`worker`] — hosts *groups* (one [`ssp_runtime::launch_partial`]
-//!   scheduler instance each) and bridges their cross-group channels to
-//!   DATA frames.
+//! * [`worker`] — hosts *groups* (one scheduler instance each, started by
+//!   the runtime's one launch, [`ssp_runtime::launch`]: a fresh group is a
+//!   resume from the zero cut, and a whole program is a partial run
+//!   hosting every rank) and bridges their cross-group channels to DATA
+//!   frames.
 //! * [`transport`] — direct worker↔worker sockets (Unix-domain or TCP)
 //!   the supervisor brokers after ASSIGN, so steady-state DATA frames skip
 //!   the star's double hop.

@@ -24,10 +24,10 @@ use mesh_archetype::driver::{
 use meshgrid::ProcGrid3;
 use ssp_runtime::json::JsonValue;
 use ssp_runtime::{
-    launch_partial, launch_partial_flight, launch_partial_seeded, launch_partial_seeded_flight,
-    ChannelId, Effect, FaultPlan, FlightKind, FlightLog, FlightSink, Gateway, GroupManifest,
-    LiveTelemetry, ManifestRank, ManifestStatus, PartialRun, PartialSeed, ProcMetrics, ProcState,
-    Process, RoundRobin, RunError, RunMetrics, Simulator, ThreadedConfig, Topology,
+    launch, ChannelId, Effect, FaultPlan, FlightKind, FlightLog, FlightRecorder, FlightSink,
+    Gateway, GroupManifest, LiveTelemetry, ManifestRank, ManifestStatus, NoFlight, PartialRun,
+    PartialSeed, ProcMetrics, ProcState, Process, RoundRobin, RunError, RunMetrics, Simulator,
+    ThreadedConfig, Topology,
 };
 
 fn bad_args(detail: String) -> RunError {
@@ -79,16 +79,22 @@ pub trait Workload: Send + Sync {
     fn n_ranks(&self) -> usize;
     /// The full channel topology (global ids — identical on every host).
     fn topology(&self) -> Topology;
-    /// Launch a group hosting `ranks` on a local scheduler instance.
-    /// Outbound cross-group messages go to `sink`; inbound ones arrive
-    /// through the returned [`GroupIngress`].
+    /// Launch a group hosting `ranks` on a local scheduler instance, from
+    /// their initial states (`resume = None`, the zero cut) or from a
+    /// checkpoint manifest. Outbound cross-group messages go to `sink`;
+    /// inbound ones arrive through the returned [`GroupIngress`]. Every
+    /// input is validated (this path reads network bytes): ranks out of
+    /// range or listed twice, manifest rank sets that do not match, channel
+    /// ids out of range, queues on non-internal channels and undecodable
+    /// states or messages all fail typed.
     fn launch_group(
         &self,
         ranks: &[usize],
+        resume: Option<&GroupManifest>,
         workers: Option<usize>,
         flight: Option<usize>,
         sink: DataSink,
-    ) -> (Arc<dyn GroupIngress>, Box<dyn GroupJoin>);
+    ) -> Result<LaunchedGroup, RunError>;
     /// The single-process reference run: final snapshots under the
     /// deterministic simulator. The distributed result must match this
     /// bitwise (Theorem 1's standard).
@@ -96,19 +102,6 @@ pub trait Workload: Send + Sync {
     /// Build the supervisor's whole-program shadow executor with a cut
     /// every `every` shadow steps (see [`ProgramShadow`]).
     fn shadow(&self, every: u64) -> Box<dyn ProgramShadow>;
-    /// [`Workload::launch_group`], but resuming `ranks` from a checkpoint
-    /// manifest instead of their initial states. Every manifest field is
-    /// validated (this path reads network bytes): unknown ranks, channel
-    /// ids out of range, queues on non-internal channels and undecodable
-    /// states or messages all fail typed.
-    fn launch_group_seeded(
-        &self,
-        ranks: &[usize],
-        manifest: &GroupManifest,
-        workers: Option<usize>,
-        flight: Option<usize>,
-        sink: DataSink,
-    ) -> Result<LaunchedGroup, RunError>;
 }
 
 // ---------------------------------------------------------------------------
@@ -461,25 +454,30 @@ where
     }
 }
 
-/// Build a [`PartialSeed`] for `ranks` from a decoded manifest and launch
-/// it. Validation is exhaustive (network-facing): rank set mismatches,
+/// Pick `ranks` out of a workload's processes as `(rank, process)`
+/// templates, failing typed on a rank out of range or listed twice.
+fn select<P>(all: Vec<P>, ranks: &[usize]) -> Result<Vec<(usize, P)>, RunError> {
+    let mut slots: Vec<Option<P>> = all.into_iter().map(Some).collect();
+    ranks
+        .iter()
+        .map(|&r| match slots.get_mut(r).and_then(Option::take) {
+            Some(p) => Ok((r, p)),
+            None => Err(bad_args(format!("rank {r} out of range or assigned twice"))),
+        })
+        .collect()
+}
+
+/// Decode a manifest into the [`PartialSeed`] resuming `templates`.
+/// Validation is exhaustive (network-facing): rank set mismatches,
 /// channel ids out of range, seeded queues on non-internal channels and
 /// undecodable payloads are typed errors, never panics.
-#[allow(clippy::too_many_arguments)] // one codec hook per manifest field
-fn launch_typed_seeded<P>(
+fn seed_from_manifest<P: Process>(
     topo: &Topology,
     templates: Vec<(usize, P)>,
     manifest: &GroupManifest,
-    workers: Option<usize>,
-    flight: Option<usize>,
-    encode: fn(&P::Msg) -> Vec<u8>,
     decode: fn(&[u8]) -> Result<P::Msg, RunError>,
     decode_state: impl Fn(&P, &[u8]) -> Result<P, RunError>,
-    sink: DataSink,
-) -> Result<LaunchedGroup, RunError>
-where
-    P: Process + 'static,
-{
+) -> Result<PartialSeed<P>, RunError> {
     let bad = |detail: String| RunError::Protocol { proc: 0, detail };
     let n_chans = topo.n_channels();
     if manifest.consumed.len() != n_chans || manifest.counters.len() != n_chans {
@@ -534,19 +532,11 @@ where
         let decoded = msgs.iter().map(|m| decode(m)).collect::<Result<Vec<_>, _>>()?;
         queues.push((c, decoded));
     }
-    let seed = PartialSeed {
+    Ok(PartialSeed {
         procs,
         queues,
         consumed: manifest.consumed.clone(),
         counters: manifest.counters.clone(),
-    };
-    let config = ThreadedConfig { watchdog: None, workers, flight };
-    Ok(if flight.is_some() {
-        let run = launch_partial_seeded_flight(topo, seed, config, &FaultPlan::none());
-        erase_run(run, encode, decode, sink)
-    } else {
-        let run = launch_partial_seeded(topo, seed, config, &FaultPlan::none());
-        erase_run(run, encode, decode, sink)
     })
 }
 
@@ -605,7 +595,7 @@ fn erase_run<P, F>(
     encode: fn(&P::Msg) -> Vec<u8>,
     decode: fn(&[u8]) -> Result<P::Msg, RunError>,
     mut sink: DataSink,
-) -> (Arc<dyn GroupIngress>, Box<dyn GroupJoin>)
+) -> LaunchedGroup
 where
     P: Process + 'static,
     F: FlightSink,
@@ -617,30 +607,38 @@ where
     (Arc::new(TypedIngress { gateway, decode }), Box::new(TypedJoin { run, pump }))
 }
 
-/// Launch a typed group and erase it behind the two group traits. The
-/// flight choice picks the scheduler monomorphization: `None` runs the
-/// zero-cost [`ssp_runtime::NoFlight`] build, `Some(cap)` the recording
-/// one — type-erased here so the distributed layer stays untyped.
+/// Launch a typed group — from the zero cut, or resumed from `resume` —
+/// and erase it behind the two group traits. The flight choice picks the
+/// scheduler monomorphization: `None` runs the zero-cost [`NoFlight`]
+/// build, `Some(cap)` the recording one — type-erased here so the
+/// distributed layer stays untyped.
+#[allow(clippy::too_many_arguments)] // one codec hook per manifest field
 fn launch_typed<P>(
     topo: &Topology,
-    procs: Vec<(usize, P)>,
+    templates: Vec<(usize, P)>,
+    resume: Option<&GroupManifest>,
     workers: Option<usize>,
     flight: Option<usize>,
     encode: fn(&P::Msg) -> Vec<u8>,
     decode: fn(&[u8]) -> Result<P::Msg, RunError>,
+    decode_state: impl Fn(&P, &[u8]) -> Result<P, RunError>,
     sink: DataSink,
-) -> (Arc<dyn GroupIngress>, Box<dyn GroupJoin>)
+) -> Result<LaunchedGroup, RunError>
 where
     P: Process + 'static,
 {
+    let seed = match resume {
+        None => PartialSeed::fresh(topo, templates),
+        Some(m) => seed_from_manifest(topo, templates, m, decode, decode_state)?,
+    };
     let config = ThreadedConfig { watchdog: None, workers, flight };
-    if flight.is_some() {
-        let run = launch_partial_flight(topo, procs, config, &FaultPlan::none());
-        erase_run(run, encode, decode, sink)
-    } else {
-        let run = launch_partial(topo, procs, config, &FaultPlan::none());
-        erase_run(run, encode, decode, sink)
-    }
+    let faults = &FaultPlan::none();
+    Ok(match flight {
+        None => erase_run(launch::<P, NoFlight>(topo, seed, config, faults), encode, decode, sink),
+        Some(_) => {
+            erase_run(launch::<P, FlightRecorder>(topo, seed, config, faults), encode, decode, sink)
+        }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -833,14 +831,22 @@ impl Workload for RingWorkload {
     fn launch_group(
         &self,
         ranks: &[usize],
+        resume: Option<&GroupManifest>,
         workers: Option<usize>,
         flight: Option<usize>,
         sink: DataSink,
-    ) -> (Arc<dyn GroupIngress>, Box<dyn GroupJoin>) {
-        let all = self.procs();
-        let procs: Vec<(usize, RingNode)> =
-            ranks.iter().map(|&r| (r, all[r].clone())).collect();
-        launch_typed(&self.topology(), procs, workers, flight, encode_u64, decode_u64, sink)
+    ) -> Result<LaunchedGroup, RunError> {
+        launch_typed(
+            &self.topology(),
+            select(self.procs(), ranks)?,
+            resume,
+            workers,
+            flight,
+            encode_u64,
+            decode_u64,
+            ring_state_decode,
+            sink,
+        )
     }
 
     fn run_reference(&self) -> Result<Vec<Vec<u8>>, RunError> {
@@ -856,30 +862,6 @@ impl Workload for RingWorkload {
             ring_state_encode,
             every,
         ))
-    }
-
-    fn launch_group_seeded(
-        &self,
-        ranks: &[usize],
-        manifest: &GroupManifest,
-        workers: Option<usize>,
-        flight: Option<usize>,
-        sink: DataSink,
-    ) -> Result<LaunchedGroup, RunError> {
-        let all = self.procs();
-        let templates: Vec<(usize, RingNode)> =
-            ranks.iter().map(|&r| (r, all[r].clone())).collect();
-        launch_typed_seeded(
-            &self.topology(),
-            templates,
-            manifest,
-            workers,
-            flight,
-            encode_u64,
-            decode_u64,
-            ring_state_decode,
-            sink,
-        )
     }
 }
 
@@ -925,17 +907,23 @@ impl Workload for FdtdAWorkload {
     fn launch_group(
         &self,
         ranks: &[usize],
+        resume: Option<&GroupManifest>,
         workers: Option<usize>,
         flight: Option<usize>,
         sink: DataSink,
-    ) -> (Arc<dyn GroupIngress>, Box<dyn GroupJoin>) {
+    ) -> Result<LaunchedGroup, RunError> {
         let (topo, all) = self.build();
-        let mut slots: Vec<Option<MsgProcess<LocalA>>> = all.into_iter().map(Some).collect();
-        let procs: Vec<(usize, MsgProcess<LocalA>)> = ranks
-            .iter()
-            .map(|&r| (r, slots[r].take().expect("rank assigned twice")))
-            .collect();
-        launch_typed(&topo, procs, workers, flight, encode_mesh, decode_mesh_msg, sink)
+        launch_typed(
+            &topo,
+            select(all, ranks)?,
+            resume,
+            workers,
+            flight,
+            encode_mesh,
+            decode_mesh_msg,
+            |t, b| MsgProcess::decode_state(t.clone(), b),
+            sink,
+        )
     }
 
     fn run_reference(&self) -> Result<Vec<Vec<u8>>, RunError> {
@@ -947,33 +935,6 @@ impl Workload for FdtdAWorkload {
     fn shadow(&self, every: u64) -> Box<dyn ProgramShadow> {
         let (topo, procs) = self.build();
         Box::new(ShadowExec::new(topo, procs, encode_mesh, mesh_state_encode, every))
-    }
-
-    fn launch_group_seeded(
-        &self,
-        ranks: &[usize],
-        manifest: &GroupManifest,
-        workers: Option<usize>,
-        flight: Option<usize>,
-        sink: DataSink,
-    ) -> Result<LaunchedGroup, RunError> {
-        let (topo, all) = self.build();
-        let mut slots: Vec<Option<MsgProcess<LocalA>>> = all.into_iter().map(Some).collect();
-        let templates: Vec<(usize, MsgProcess<LocalA>)> = ranks
-            .iter()
-            .map(|&r| (r, slots[r].take().expect("rank assigned twice")))
-            .collect();
-        launch_typed_seeded(
-            &topo,
-            templates,
-            manifest,
-            workers,
-            flight,
-            encode_mesh,
-            decode_mesh_msg,
-            |t, b| MsgProcess::decode_state(t.clone(), b),
-            sink,
-        )
     }
 }
 
@@ -1097,9 +1058,9 @@ mod tests {
         let m = GroupManifest::decode(&sh.manifest(&ranks)).unwrap();
         // Whole program halted in the shadow; resume should agree.
         let (_, join) = w
-            .launch_group_seeded(
+            .launch_group(
                 &ranks,
-                &m,
+                Some(&m),
                 Some(2),
                 None,
                 Box::new(|c, _| panic!("no cross-group sends expected on ch{c}")),
@@ -1145,28 +1106,41 @@ mod tests {
         let good = GroupManifest::decode(&sh.manifest(&[0, 1])).unwrap();
         let sink = || Box::new(|_, _| Ok(())) as DataSink;
         // Rank set mismatch.
-        let r = w.launch_group_seeded(&[0, 2], &good, None, None, sink());
+        let r = w.launch_group(&[0, 2], Some(&good), None, None, sink());
         assert!(matches!(r, Err(RunError::Protocol { .. })));
         // Channel vectors of the wrong length.
         let mut bad = good.clone();
         bad.consumed.pop();
-        let r = w.launch_group_seeded(&[0, 1], &bad, None, None, sink());
+        let r = w.launch_group(&[0, 1], Some(&bad), None, None, sink());
         assert!(matches!(r, Err(RunError::Protocol { .. })));
         // A seeded queue on a channel that is not internal to the ranks.
         let mut bad = good.clone();
         bad.queues = vec![(2, vec![7u64.to_le_bytes().to_vec()])];
-        let r = w.launch_group_seeded(&[0, 1], &bad, None, None, sink());
+        let r = w.launch_group(&[0, 1], Some(&bad), None, None, sink());
         assert!(matches!(r, Err(RunError::Protocol { .. })));
         // An undecodable blocked-send message.
         let mut bad = good.clone();
         bad.ranks[0].status = ManifestStatus::BlockedSend(0, vec![1, 2, 3]);
-        let r = w.launch_group_seeded(&[0, 1], &bad, None, None, sink());
+        let r = w.launch_group(&[0, 1], Some(&bad), None, None, sink());
         assert!(matches!(r, Err(RunError::Protocol { .. })));
         // A truncated rank state.
         let mut bad = good;
         bad.ranks[1].state.truncate(3);
-        let r = w.launch_group_seeded(&[0, 1], &bad, None, None, sink());
+        let r = w.launch_group(&[0, 1], Some(&bad), None, None, sink());
         assert!(matches!(r, Err(RunError::Protocol { .. })));
+    }
+
+    #[test]
+    fn launch_group_rejects_bad_rank_lists_typed() {
+        for w in [
+            build_workload("ring", &ring_args(3, 2)).unwrap(),
+            build_workload("fdtd-a", &fdtd_a_args("tiny", 4)).unwrap(),
+        ] {
+            for ranks in [vec![9], vec![1, 1]] {
+                let r = w.launch_group(&ranks, None, Some(1), None, Box::new(|_, _| Ok(())));
+                assert!(matches!(r, Err(RunError::Protocol { .. })), "ranks {ranks:?}");
+            }
+        }
     }
 
     #[test]

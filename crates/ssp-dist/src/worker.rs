@@ -1,10 +1,12 @@
 //! The worker process: hosts groups of ranks on behalf of the supervisor.
 //!
-//! A worker is a thin shell around the runtime's partial scheduler
-//! ([`ssp_runtime::launch_partial`]): it connects to the supervisor's
-//! socket, says HELLO, and then serves a frame loop. Each ASSIGN spins up
-//! one *group* — an independent scheduler instance hosting some ranks —
-//! whose cross-group channel ends are bridged to the data plane.
+//! A worker is a thin shell around the runtime's one scheduler launch
+//! ([`ssp_runtime::launch`]), where a fresh run is a resume from the zero
+//! cut and a whole program is a partial run hosting every rank. It
+//! connects to the supervisor's socket, says HELLO, and then serves a
+//! frame loop. Each ASSIGN spins up one *group* — an independent scheduler
+//! instance hosting some ranks — whose cross-group channel ends are
+//! bridged to the data plane.
 //!
 //! ## Data planes (phase 2)
 //!
@@ -43,11 +45,12 @@
 //!
 //! A RESUME frame (checkpoint manifest) may precede an ASSIGN for the
 //! same group id on the supervisor socket. The worker stashes it; the
-//! matching ASSIGN then launches the group *seeded* from the manifest
-//! ([`crate::registry::Workload::launch_group_seeded`]), seeds its
-//! outbound sequence counters from the manifest's channel counters, and
-//! sets its inbound gates to the manifest's consumed frontiers — so
-//! replay starts where the checkpoint ends, not at step zero.
+//! matching ASSIGN then launches the group from the manifest's cut
+//! instead of the zero cut ([`crate::registry::Workload::launch_group`]
+//! with `resume` set), seeds its outbound sequence counters from the
+//! manifest's channel counters, and sets its inbound gates to the
+//! manifest's consumed frontiers — so replay starts where the checkpoint
+//! ends, not at step zero.
 //!
 //! A worker never exits on its own initiative: it leaves on SHUTDOWN
 //! (answering with a BYE carrying its per-plane counters), on supervisor
@@ -622,7 +625,12 @@ fn handle_assign(
                 detail: format!("ASSIGN rank {r} outside topology of {n}"),
             });
         }
-        hosted[r] = true;
+        if std::mem::replace(&mut hosted[r], true) {
+            return Err(RunError::Protocol {
+                proc: r,
+                detail: format!("ASSIGN lists rank {r} twice"),
+            });
+        }
     }
     let direct = matches!(assign.mode.as_deref(), Some("direct") | Some("direct+shm"));
     if assign.mode.as_deref() == Some("direct+shm") {
@@ -635,17 +643,6 @@ fn handle_assign(
         Some(bytes) => Some(GroupManifest::decode(&bytes)?),
         None => None,
     };
-    if let Some(m) = &manifest {
-        if m.consumed.len() != n_chans || m.counters.len() != n_chans {
-            return Err(RunError::Protocol {
-                proc: 0,
-                detail: format!(
-                    "RESUME manifest shaped for {} channels, topology has {n_chans}",
-                    m.consumed.len()
-                ),
-            });
-        }
-    }
 
     // Outbound sequence counters: a resumed writer continues from the
     // number of messages the checkpoint already accounts for, so the
@@ -708,16 +705,15 @@ fn handle_assign(
         )
     });
 
-    let (group_ingress, join) = match &manifest {
-        Some(m) => workload.launch_group_seeded(
-            &assign.ranks,
-            m,
-            group_workers,
-            assign.flight,
-            sink,
-        )?,
-        None => workload.launch_group(&assign.ranks, group_workers, assign.flight, sink),
-    };
+    // The launch validates the manifest against the topology before the
+    // sink (and the sequence counters it owns) can run.
+    let (group_ingress, join) = workload.launch_group(
+        &assign.ranks,
+        manifest.as_ref(),
+        group_workers,
+        assign.flight,
+        sink,
+    )?;
     *wlock(&out_marks) = Some(Arc::clone(&group_ingress));
     groups.push(Arc::clone(&group_ingress));
 
@@ -1004,5 +1000,39 @@ mod tests {
         router.deliver(0, 2, vec![2], FlightKind::DataStar).unwrap();
         assert_eq!(sink.0.load(Ordering::Relaxed), 2, "2 then 3 drain in order");
         assert_eq!(router.gates[&0].expected, 4);
+    }
+
+    #[test]
+    fn hostile_assign_rank_lists_fail_typed_without_launching() {
+        // Both decode fine; a rank outside the topology or listed twice
+        // must be a typed error before any group exists, never a panic.
+        use crate::registry::{fdtd_a_args, ring_args};
+        for (workload, args) in [("ring", ring_args(4, 2)), ("fdtd-a", fdtd_a_args("tiny", 4))] {
+            for ranks in [vec![4], vec![1, 1], vec![0, 2, 0]] {
+                let (shared, _spy) = test_shared(0, 0);
+                let assign = Assign {
+                    group: 1,
+                    workload: workload.to_string(),
+                    args: args.clone(),
+                    ranks: ranks.clone(),
+                    flight: None,
+                    mode: None,
+                    table: None,
+                };
+                let mut groups = Vec::new();
+                let r = handle_assign(
+                    &shared,
+                    &assign.encode(),
+                    Some(1),
+                    &mut groups,
+                    &mut HashMap::new(),
+                );
+                assert!(
+                    matches!(r, Err(RunError::Protocol { .. })),
+                    "{workload} ranks {ranks:?}: {r:?}"
+                );
+                assert!(groups.is_empty(), "{workload} ranks {ranks:?} launched a group");
+            }
+        }
     }
 }

@@ -52,6 +52,11 @@ pub trait FlightSink: Send + Sync + 'static {
     /// is a no-op, letting instrumentation sites skip argument setup.
     const ENABLED: bool;
 
+    /// The sink for a pool of `n_workers` workers keeping `cap` events per
+    /// lane — how [`crate::sched::launch`] builds the sink its type
+    /// parameter names.
+    fn for_pool(n_workers: usize, cap: usize) -> Self;
+
     /// Record one event into `lane` (a writer-thread index; see
     /// [`FlightRecorder::new`] for the lane layout).
     #[inline(always)]
@@ -79,6 +84,10 @@ pub struct NoFlight;
 
 impl FlightSink for NoFlight {
     const ENABLED: bool = false;
+
+    fn for_pool(_n_workers: usize, _cap: usize) -> Self {
+        NoFlight
+    }
 }
 
 const _: () = assert!(
@@ -125,6 +134,10 @@ impl FlightRecorder {
 
 impl FlightSink for FlightRecorder {
     const ENABLED: bool = true;
+
+    fn for_pool(n_workers: usize, cap: usize) -> Self {
+        FlightRecorder::new(n_workers, cap)
+    }
 
     #[inline]
     fn record(&self, lane: usize, kind: FlightKind, rank: usize, chan: usize, bytes: u64) {

@@ -86,14 +86,10 @@ pub use recover::{
     run_threaded_recovering, Checkpoint, GroupManifest, ManifestRank, ManifestStatus,
     RecoveryConfig, RecoveryOutcome, RecoveryStats,
 };
-pub use sched::{
-    launch_partial, launch_partial_flight, launch_partial_seeded, launch_partial_seeded_flight,
-    Gateway, LiveTelemetry, PartialOutcome, PartialRun, PartialSeed,
-};
+pub use sched::{launch, Gateway, LiveTelemetry, PartialOutcome, PartialRun, PartialSeed};
 pub use sim::{run_simulated, ProcState, RunOutcome, SimState, Simulator};
 pub use threaded::{
-    run_threaded, run_threaded_faulted, run_threaded_seeded, run_threaded_with, ThreadedConfig,
-    ThreadedOutcome,
+    run_threaded, run_threaded_faulted, run_threaded_with, ThreadedConfig, ThreadedOutcome,
 };
 pub use trace::{
     ChannelMetrics, Event, EventKind, FlightEvent, FlightKind, FlightLane, FlightLog,

@@ -42,9 +42,7 @@ use crate::observer::{NoopObserver, StepObserver};
 use crate::policy::{RoundRobin, SchedulePolicy};
 use crate::proc::{ProcId, Process};
 use crate::sim::Simulator;
-use crate::threaded::{
-    run_threaded_faulted, run_threaded_seeded, ThreadedConfig, ThreadedOutcome,
-};
+use crate::threaded::{run_threaded_faulted, run_whole, ThreadedConfig, ThreadedOutcome};
 use crate::trace::{FlightKind, RunMetrics, Trace};
 
 /// Supervisor tuning: how often to checkpoint and how many restarts to
@@ -454,8 +452,9 @@ where
 /// 2. serializes that cut through the [`Checkpoint::to_json`] wire format
 ///    and restores it with [`replay_checkpoint`] — fingerprint-verified,
 ///    the same code path the distributed supervisor uses to migrate ranks;
-/// 3. seeds a fresh pool with the restored state via
-///    [`crate::threaded::run_threaded_seeded`] and runs to completion.
+/// 3. seeds a fresh pool with the restored state through the scheduler's
+///    one launch ([`crate::sched::launch`], the same path a fresh run
+///    takes from the zero cut) and runs to completion.
 ///
 /// Only the pre-crash prefix re-executes, in the cheap simulator — closing
 /// the PR 3 gap where this function restarted the whole threaded run from
@@ -498,7 +497,7 @@ where
             Some(json) => {
                 let (sim, _) =
                     replay_checkpoint(json, topo.clone(), make_procs(), &msg_bytes)?;
-                run_threaded_seeded(topo, sim.into_state(), config, &faults)
+                run_whole(topo, sim.into_state().into(), config, &faults)
             }
         };
         match attempt {

@@ -20,6 +20,13 @@
 //! a possible pending channel operation, boxed in a per-rank slot. No stack
 //! switching, no unsafe continuation capture.
 //!
+//! ## One launch
+//!
+//! Every pool starts in [`launch`] from a [`PartialSeed`] — a fresh run is
+//! a resume from the zero cut, and a whole-program run is a partial run
+//! hosting every rank — so fresh, resumed, whole and partial runs differ
+//! only in their seed, never in code (DESIGN.md §12).
+//!
 //! ## Yield-on-block protocol
 //!
 //! A rank that cannot complete a channel operation (recv on an empty ring,
@@ -63,7 +70,7 @@ use std::time::{Duration, Instant};
 use crate::chan::{ChannelId, Topology};
 use crate::error::RunError;
 use crate::fault::FaultPlan;
-use crate::flight::{FlightRecorder, FlightSink, NoFlight, DEFAULT_FLIGHT_CAP};
+use crate::flight::{FlightSink, NoFlight, DEFAULT_FLIGHT_CAP};
 use crate::proc::{Effect, ProcId, Process};
 use crate::sim::{ProcState, SimState};
 use crate::spsc::{ParkSlot, SpscRing};
@@ -135,12 +142,12 @@ struct Task<P: Process> {
 
 /// How one channel is realized by this scheduler instance. A full-program
 /// run hosts both endpoints of every channel (`Direct`); a *partial* run
-/// ([`launch_partial`], the distributed backend's worker side) hosts a
-/// subset of the ranks, and a channel whose peer rank lives in another
-/// process becomes a port: `Egress` (local writer, remote reader — the ring
-/// is drained by the transport pump instead of a local task) or `Ingress`
-/// (remote writer, local reader — the ring is fed by the transport's
-/// inbound thread via [`Gateway::push_inbound`]).
+/// (the distributed backend's worker side) hosts a subset of the ranks,
+/// and a channel whose peer rank lives in another process becomes a port:
+/// `Egress` (local writer, remote reader — the ring is drained by the
+/// transport pump instead of a local task) or `Ingress` (remote writer,
+/// local reader — the ring is fed by the transport's inbound thread via
+/// [`Gateway::push_inbound`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum ChanKind {
     /// Both endpoints hosted here: the normal task-to-task ring.
@@ -239,9 +246,10 @@ struct Shared<P: Process, F: FlightSink> {
     /// run teardown never waits out a poll interval.
     watchdog_park: ParkSlot,
     /// Flight-recorder sink. [`NoFlight`] (zero-sized, all methods empty)
-    /// when recording is disabled; [`FlightRecorder`] lanes are indexed
-    /// `0..n_workers` for workers, then `control` (watchdog + pre-spawn
-    /// lifecycle), then `gateway` (the transport's inbound thread).
+    /// when recording is disabled; [`crate::flight::FlightRecorder`] lanes
+    /// are indexed `0..n_workers` for workers, then `control` (watchdog +
+    /// pre-spawn lifecycle), then `gateway` (the transport's inbound
+    /// thread).
     flight: F,
 }
 
@@ -358,11 +366,12 @@ impl<P: Process, F: FlightSink> Shared<P, F> {
     }
 
     /// Reclaim the task box after a failed park (lost race or `NOTIFIED`).
+    /// The pending operation it was parked with stays set: a send path
+    /// takes its message back out of it, a receive path drops it.
     fn reclaim(&self, rank: ProcId) -> Task<P> {
         let mut task = lock(&self.slots[rank])
             .take()
             .expect("rank still owned by this worker");
-        task.pending = None;
         if let Some(t0) = task.parked_since.take() {
             task.pm.blocked_nanos += t0.elapsed().as_nanos() as u64;
         }
@@ -380,27 +389,24 @@ enum After<P: Process> {
 }
 
 /// Build the channel fabric for one scheduler instance. `hosted` marks the
-/// ranks this instance runs: `None` hosts all of them (every channel
-/// [`ChanKind::Direct`], spec capacity honored); otherwise a channel with a
-/// remote endpoint becomes `Egress`/`Ingress` — forced *unbounded*, because
-/// flow control across the process boundary belongs to the transport and a
-/// bounded port ring could wedge the pump — or `Absent`. Returns the
-/// channels plus the egress index list in id order.
-fn build_chans<M>(topo: &Topology, hosted: Option<&[bool]>) -> (Vec<Chan<M>>, Vec<usize>) {
+/// ranks this instance runs: a channel with both endpoints hosted is
+/// [`ChanKind::Direct`] and keeps its spec capacity; one with a single
+/// hosted endpoint becomes an `Egress`/`Ingress` port — forced *unbounded*,
+/// because flow control across the process boundary belongs to the
+/// transport and a bounded port ring could wedge the pump; the rest are
+/// `Absent`. Returns the channels plus the egress index list in id order.
+fn build_chans<M>(topo: &Topology, hosted: &[bool]) -> (Vec<Chan<M>>, Vec<usize>) {
     let mut egress = Vec::new();
     let chans = topo
         .specs()
         .iter()
         .enumerate()
         .map(|(i, s)| {
-            let kind = match hosted {
-                None => ChanKind::Direct,
-                Some(h) => match (h[s.writer], h[s.reader]) {
-                    (true, true) => ChanKind::Direct,
-                    (true, false) => ChanKind::Egress,
-                    (false, true) => ChanKind::Ingress,
-                    (false, false) => ChanKind::Absent,
-                },
+            let kind = match (hosted[s.writer], hosted[s.reader]) {
+                (true, true) => ChanKind::Direct,
+                (true, false) => ChanKind::Egress,
+                (false, true) => ChanKind::Ingress,
+                (false, false) => ChanKind::Absent,
             };
             if kind == ChanKind::Egress {
                 egress.push(i);
@@ -420,62 +426,6 @@ fn build_chans<M>(topo: &Topology, hosted: Option<&[bool]>) -> (Vec<Chan<M>>, Ve
         })
         .collect();
     (chans, egress)
-}
-
-/// Fresh task box for a rank entering the scheduler at its initial state.
-fn fresh_task<P: Process>(proc: P, n_chans: usize) -> Task<P> {
-    Task {
-        proc,
-        delivery: None,
-        pending: None,
-        pm: ProcMetrics::default(),
-        recvs_done: vec![0; n_chans],
-        parked_since: None,
-        result: None,
-    }
-}
-
-/// Assemble the shared state for a pool of `n_workers` over `slots` (one
-/// box per rank; `None` for ranks this instance does not host).
-#[allow(clippy::too_many_arguments)]
-fn build_shared<P: Process, F: FlightSink>(
-    topo: &Topology,
-    slots: Vec<Option<Task<P>>>,
-    chans: Vec<Chan<P::Msg>>,
-    egress: Vec<usize>,
-    target: usize,
-    finished: usize,
-    n_workers: usize,
-    faults: &FaultPlan,
-    flight: F,
-) -> Arc<Shared<P, F>> {
-    let n = slots.len();
-    Arc::new(Shared {
-        topo: topo.clone(),
-        chans,
-        slots: slots.into_iter().map(Mutex::new).collect(),
-        states: (0..n).map(|_| AtomicU8::new(RUN)).collect(),
-        waits: Mutex::new(vec![None; n]),
-        workers: (0..n_workers)
-            .map(|_| WorkerState { deque: Mutex::new(VecDeque::new()), park: ParkSlot::new() })
-            .collect(),
-        injector: Mutex::new(VecDeque::new()),
-        target,
-        egress,
-        egress_park: ParkSlot::new(),
-        faults: faults.clone(),
-        poisoned: AtomicBool::new(false),
-        done: AtomicBool::new(false),
-        progress: AtomicU64::new(0),
-        finished: AtomicUsize::new(finished),
-        idle_workers: AtomicUsize::new(0),
-        steals: AtomicU64::new(0),
-        yields: AtomicU64::new(0),
-        task_parks: AtomicU64::new(0),
-        verdict: Mutex::new(None),
-        watchdog_park: ParkSlot::new(),
-        flight,
-    })
 }
 
 /// Spawn the worker pool (and the watchdog, if a window is given).
@@ -555,132 +505,156 @@ fn harvest<P: Process, F: FlightSink>(
     Ok(ThreadedOutcome { snapshots, metrics, flight: shared.flight.drain() })
 }
 
-/// Entry point: run `procs` over a worker pool. Called by
-/// [`crate::threaded::run_threaded_faulted`]; same contract. Dispatches
-/// between the two monomorphizations: [`NoFlight`] (the default — the
-/// compile-time no-op path) and [`FlightRecorder`] when
-/// [`ThreadedConfig::flight`] is set.
-pub(crate) fn run_scheduled<P>(
-    topo: &Topology,
-    procs: Vec<P>,
-    config: ThreadedConfig,
-    faults: &FaultPlan,
-) -> Result<ThreadedOutcome, RunError>
-where
-    P: Process + 'static,
-{
-    match config.flight {
-        None => run_scheduled_flight(topo, procs, config, faults, NoFlight),
-        Some(cap) => {
-            let n_workers = resolve_workers(config.workers, procs.len());
-            let flight = FlightRecorder::new(n_workers, cap);
-            run_scheduled_flight(topo, procs, config, faults, flight)
+/// A consistent cut of a rank subset: the one input of [`launch`]. By
+/// Theorem 1, given every hosted rank's state, the contents of its internal
+/// queues and the delivery ordinals of every channel, running on from the
+/// cut is just another maximal interleaving. A fresh run is the zero cut
+/// ([`PartialSeed::fresh`]); a whole-program resume is a [`SimState`]
+/// converted into a seed hosting every rank; the distributed worker decodes
+/// a checkpoint-resumed migration payload into one.
+pub struct PartialSeed<P: Process> {
+    /// `(global rank, process, scheduler status, prefix metrics)` for each
+    /// hosted rank.
+    pub procs: Vec<(ProcId, P, ProcState<P::Msg>, ProcMetrics)>,
+    /// Queue contents at the cut for channels *internal* to the hosted
+    /// set: `(chan, messages front-to-back)`.
+    pub queues: Vec<(usize, Vec<P::Msg>)>,
+    /// Deliveries completed before the cut, per channel (full topology
+    /// length) — seeds hosted readers' receive ordinals so stall-fault
+    /// keys and dedup gates stay aligned across the cut.
+    pub consumed: Vec<u64>,
+    /// Writer-side traffic counters at the cut, per channel:
+    /// `(messages, bytes, max_depth)`. Applied to channels whose writer
+    /// is hosted; `messages` also tells the transport where the channel's
+    /// outbound sequence numbering resumes.
+    pub counters: Vec<(u64, u64, u64)>,
+}
+
+impl<P: Process> PartialSeed<P> {
+    /// The zero cut: each `(global rank, process)` `Ready` at its initial
+    /// state, no queued messages, every ordinal and counter zero.
+    pub fn fresh(topo: &Topology, procs: Vec<(ProcId, P)>) -> Self {
+        let n_chans = topo.n_channels();
+        PartialSeed {
+            procs: procs
+                .into_iter()
+                .map(|(r, p)| (r, p, ProcState::Ready, ProcMetrics::default()))
+                .collect(),
+            queues: Vec::new(),
+            consumed: vec![0; n_chans],
+            counters: vec![(0, 0, 0); n_chans],
         }
     }
 }
 
-fn run_scheduled_flight<P, F>(
-    topo: &Topology,
-    procs: Vec<P>,
-    config: ThreadedConfig,
-    faults: &FaultPlan,
-    flight: F,
-) -> Result<ThreadedOutcome, RunError>
-where
-    P: Process + 'static,
-    F: FlightSink,
-{
-    assert_eq!(procs.len(), topo.n_procs(), "process count must match topology");
-    let n = procs.len();
-    if n == 0 {
-        return Ok(ThreadedOutcome {
-            snapshots: Vec::new(),
-            metrics: RunMetrics::for_topology(topo),
-            flight: flight.drain(),
-        });
-    }
-    let n_workers = resolve_workers(config.workers, n);
-    let (chans, egress) = build_chans(topo, None);
-    let n_chans = chans.len();
-    let slots = procs.into_iter().map(|p| Some(fresh_task(p, n_chans))).collect();
-    let shared = build_shared(topo, slots, chans, egress, n, 0, n_workers, faults, flight);
-
-    // Seed the deques round-robin so every worker starts with local work.
-    for rank in 0..n {
-        lock(&shared.workers[rank % n_workers].deque).push_back(rank);
-    }
-    let (handles, watchdog) = spawn_pool(&shared, n_workers, config.watchdog);
-    harvest(&shared, handles, watchdog, n_workers)
-}
-
-/// Resume a run from a simulator cut ([`SimState`], typically obtained by
-/// replaying a fingerprint-verified checkpoint): seed tasks, rings, and
-/// counters from `state`, then drive the remainder over the pool. The
-/// prefix's metrics are carried forward, so process-local step ordinals
-/// (which key fault injection) and traffic counters continue rather than
-/// restart — and by Theorem 1 the final snapshots are the same as if the
-/// whole run had happened on either backend alone.
-pub(crate) fn run_seeded<P>(
-    topo: &Topology,
-    state: SimState<P>,
-    config: ThreadedConfig,
-    faults: &FaultPlan,
-) -> Result<ThreadedOutcome, RunError>
-where
-    P: Process + 'static,
-{
-    match config.flight {
-        None => run_seeded_flight(topo, state, config, faults, NoFlight),
-        Some(cap) => {
-            let n_workers = resolve_workers(config.workers, state.procs.len());
-            let flight = FlightRecorder::new(n_workers, cap);
-            run_seeded_flight(topo, state, config, faults, flight)
+impl<P: Process> From<SimState<P>> for PartialSeed<P> {
+    /// A simulator cut as a seed hosting every rank. The prefix's metrics
+    /// ride along, so process-local step ordinals (which key fault
+    /// injection) and traffic counters continue rather than restart.
+    fn from(state: SimState<P>) -> Self {
+        let SimState { procs, status, queues, metrics } = state;
+        let chans = &metrics.channels;
+        PartialSeed {
+            consumed: queues
+                .iter()
+                .zip(chans)
+                .map(|(q, c)| c.messages.saturating_sub(q.len() as u64))
+                .collect(),
+            counters: chans
+                .iter()
+                .map(|c| (c.messages, c.bytes, c.max_queue_depth as u64))
+                .collect(),
+            procs: procs
+                .into_iter()
+                .zip(status)
+                .zip(metrics.procs)
+                .enumerate()
+                .map(|(r, ((p, st), pm))| (r, p, st, pm))
+                .collect(),
+            queues: queues.into_iter().map(Vec::from).enumerate().collect(),
         }
     }
 }
 
-fn run_seeded_flight<P, F>(
+/// Start a scheduler instance from `seed` — the one function that turns a
+/// cut into a running pool. A fresh run is a resume from the zero cut, and
+/// a whole-program run is a partial run hosting every rank, so the
+/// threaded runner, crash recovery and the distributed worker all enter
+/// here. Bridge the instance's port channels through
+/// [`PartialRun::gateway`], then collect the hosted ranks' results with
+/// [`PartialRun::join`].
+///
+/// Global ids are used throughout — rank ids and channel ids mean the same
+/// here as in the full topology, so checkpoints and wire frames never
+/// renumber anything. A channel whose peer rank is not hosted is a port:
+/// sends queue on an unbounded egress ring drained by
+/// [`Gateway::pump_outbound`], and receives block until the transport
+/// feeds the ring via [`Gateway::push_inbound`].
+///
+/// The watchdog runs iff [`ThreadedConfig::watchdog`] is set and no
+/// channel is a port: a rank blocked on a remote peer is locally
+/// indistinguishable from deadlock, so a partial instance leaves liveness
+/// to its supervisor (socket EOF / heartbeat).
+///
+/// `F` picks the flight-recorder monomorphization: [`NoFlight`] compiles
+/// recording out; [`crate::flight::FlightRecorder`] keeps
+/// [`ThreadedConfig::flight`] events per lane (default
+/// [`DEFAULT_FLIGHT_CAP`]) and drains them at join. The `gateway` lane is
+/// written by [`Gateway::push_inbound`], so the transport must call that
+/// from a *single* inbound thread (the ring is single-writer).
+///
+/// Panics if the seed does not fit `topo` (a rank outside it or hosted
+/// twice, channel vectors of the wrong length, a queue on a channel that
+/// is not internal to the hosted set or longer than its capacity);
+/// network-facing callers validate first.
+pub fn launch<P, F>(
     topo: &Topology,
-    state: SimState<P>,
+    seed: PartialSeed<P>,
     config: ThreadedConfig,
     faults: &FaultPlan,
-    flight: F,
-) -> Result<ThreadedOutcome, RunError>
+) -> PartialRun<P, F>
 where
     P: Process + 'static,
     F: FlightSink,
 {
-    let SimState { procs, status, queues, metrics } = state;
-    assert_eq!(procs.len(), topo.n_procs(), "process count must match topology");
-    let n = procs.len();
-    if n == 0 {
-        return Ok(ThreadedOutcome {
-            snapshots: Vec::new(),
-            metrics: RunMetrics::for_topology(topo),
-            flight: flight.drain(),
-        });
+    let PartialSeed { procs, queues, consumed, counters } = seed;
+    let n = topo.n_procs();
+    let mut hosted_mask = vec![false; n];
+    let hosted: Vec<ProcId> = procs.iter().map(|t| t.0).collect();
+    for &r in &hosted {
+        assert!(r < n, "hosted rank {r} outside topology");
+        assert!(!hosted_mask[r], "rank {r} hosted twice");
+        hosted_mask[r] = true;
     }
-    let n_workers = resolve_workers(config.workers, n);
-    let (chans, egress) = build_chans::<P::Msg>(topo, None);
+    let target = hosted.len();
+    let n_workers = resolve_workers(config.workers, target);
+    let (chans, egress) = build_chans(topo, &hosted_mask);
     let n_chans = chans.len();
+    assert_eq!(consumed.len(), n_chans, "seed consumed vector must cover the topology");
+    assert_eq!(counters.len(), n_chans, "seed counter vector must cover the topology");
+    let watchdog = config
+        .watchdog
+        .filter(|_| chans.iter().all(|c| matches!(c.kind, ChanKind::Direct | ChanKind::Absent)));
 
-    // Deliveries completed per channel *before* the cut: sends counted by
-    // the prefix minus messages still in flight. Seeds the reader's
-    // `recvs_done` so stall-fault ordinals stay aligned across the cut.
-    let delivered: Vec<u64> = (0..n_chans)
-        .map(|i| metrics.channels[i].messages.saturating_sub(queues[i].len() as u64))
-        .collect();
-
-    // Pre-fill the rings single-threaded (no worker is running yet) and
-    // seed the writer-side traffic counters from the prefix.
-    for (i, q) in queues.into_iter().enumerate() {
-        let c = &chans[i];
-        c.messages.store(metrics.channels[i].messages, Ordering::Relaxed);
-        c.bytes.store(metrics.channels[i].bytes, Ordering::Relaxed);
-        c.max_depth.store(metrics.channels[i].max_queue_depth, Ordering::Relaxed);
+    // Seed writer-side counters for hosted-writer channels (the slice this
+    // instance reports; a distributed supervisor takes channel totals from
+    // the final hosting group), then pre-fill internal rings
+    // single-threaded (no worker is running yet).
+    for (c, &(m, b, d)) in chans.iter().zip(&counters) {
+        if matches!(c.kind, ChanKind::Direct | ChanKind::Egress) {
+            c.messages.store(m, Ordering::Relaxed);
+            c.bytes.store(b, Ordering::Relaxed);
+            c.max_depth.store(d as usize, Ordering::Relaxed);
+        }
+    }
+    for (i, q) in queues {
+        assert!(
+            chans.get(i).is_some_and(|c| c.kind == ChanKind::Direct),
+            "seed queue {i} is not an internal channel of the hosted set"
+        );
         for m in q {
             assert!(
-                c.ring.try_push(m).is_ok(),
+                chans[i].ring.try_push(m).is_ok(),
                 "seed queue exceeds channel capacity (state/topology mismatch)"
             );
         }
@@ -688,20 +662,27 @@ where
 
     let mut finished = 0usize;
     let mut runnable: Vec<ProcId> = Vec::new();
-    let mut slots: Vec<Option<Task<P>>> = Vec::with_capacity(n);
-    for (rank, (proc, st)) in procs.into_iter().zip(status).enumerate() {
-        let mut task = fresh_task(proc, n_chans);
-        task.pm = metrics.procs[rank];
-        for (i, d) in delivered.iter().enumerate() {
-            if chans[i].reader == rank {
-                task.recvs_done[i] = *d;
+    let mut slots: Vec<Option<Task<P>>> = (0..n).map(|_| None).collect();
+    for (rank, proc, st, pm) in procs {
+        let mut task = Task {
+            proc,
+            delivery: None,
+            pending: None,
+            pm,
+            recvs_done: vec![0; n_chans],
+            parked_since: None,
+            result: None,
+        };
+        for (i, c) in chans.iter().enumerate() {
+            if c.reader == rank {
+                task.recvs_done[i] = consumed[i];
             }
         }
         match st {
             ProcState::Ready => runnable.push(rank),
+            // A blocked rank retries its operation as a pending op with
+            // `fresh = false`: the block episode was counted by the prefix.
             ProcState::BlockedRecv(chan) => {
-                // Retried as a pending op with `fresh = false`: the block
-                // episode was already counted by the prefix.
                 task.pending = Some(Pending::Recv { chan });
                 runnable.push(rank);
             }
@@ -715,26 +696,50 @@ where
                 finished += 1;
             }
         }
-        slots.push(Some(task));
+        slots[rank] = Some(task);
     }
 
-    let shared = build_shared(topo, slots, chans, egress, n, finished, n_workers, faults, flight);
+    let shared = Arc::new(Shared {
+        topo: topo.clone(),
+        chans,
+        slots: slots.into_iter().map(Mutex::new).collect(),
+        states: (0..n).map(|_| AtomicU8::new(RUN)).collect(),
+        waits: Mutex::new(vec![None; n]),
+        workers: (0..n_workers)
+            .map(|_| WorkerState { deque: Mutex::new(VecDeque::new()), park: ParkSlot::new() })
+            .collect(),
+        injector: Mutex::new(VecDeque::new()),
+        target,
+        egress,
+        egress_park: ParkSlot::new(),
+        faults: faults.clone(),
+        poisoned: AtomicBool::new(false),
+        done: AtomicBool::new(false),
+        progress: AtomicU64::new(0),
+        finished: AtomicUsize::new(finished),
+        idle_workers: AtomicUsize::new(0),
+        steals: AtomicU64::new(0),
+        yields: AtomicU64::new(0),
+        task_parks: AtomicU64::new(0),
+        verdict: Mutex::new(None),
+        watchdog_park: ParkSlot::new(),
+        flight: F::for_pool(n_workers, config.flight.unwrap_or(DEFAULT_FLIGHT_CAP)),
+    });
     // No worker thread exists yet, so the control lane is safely ours for
-    // this single lifecycle mark (spawn establishes the happens-before).
+    // this lifecycle mark of the cut (spawn establishes the happens-before).
     shared.flight.record(shared.control_lane(), FlightKind::Restore, 0, 0, finished as u64);
-    if finished == n {
+    if finished == target {
         shared.finish();
     }
+    // Seed the deques round-robin so every worker starts with local work.
     for (i, &rank) in runnable.iter().enumerate() {
         lock(&shared.workers[i % n_workers].deque).push_back(rank);
     }
-    let (handles, watchdog) = spawn_pool(&shared, n_workers, config.watchdog);
-    harvest(&shared, handles, watchdog, n_workers)
+    let (handles, watchdog) = spawn_pool(&shared, n_workers, watchdog);
+    PartialRun { shared, hosted, n_workers, handles, watchdog }
 }
 
-/// A scheduler instance hosting a *subset* of a topology's ranks — the
-/// distributed backend's worker side. Obtain one from [`launch_partial`]
-/// (or [`launch_partial_flight`] with the recorder on), bridge its port
+/// A running scheduler instance, started by [`launch`]: bridge its port
 /// channels through [`PartialRun::gateway`], then collect the hosted
 /// ranks' results with [`PartialRun::join`].
 pub struct PartialRun<P: Process, F: FlightSink = NoFlight> {
@@ -742,6 +747,7 @@ pub struct PartialRun<P: Process, F: FlightSink = NoFlight> {
     hosted: Vec<ProcId>,
     n_workers: usize,
     handles: Vec<JoinHandle<()>>,
+    watchdog: Option<JoinHandle<()>>,
 }
 
 /// Final state of a partial run: snapshots for the hosted ranks only, plus
@@ -765,249 +771,21 @@ impl<P: Process, F: FlightSink> PartialRun<P, F> {
 
     /// Block until every hosted rank halts (or the run is poisoned) and
     /// harvest snapshots and the local metrics slice.
-    pub fn join(self) -> Result<PartialOutcome, RunError> {
-        let outcome = harvest(&self.shared, self.handles, None, self.n_workers)?;
-        let mut snapshots = outcome.snapshots;
-        let snaps = self
-            .hosted
-            .iter()
-            .map(|&r| (r, std::mem::take(&mut snapshots[r])))
+    pub fn join(mut self) -> Result<PartialOutcome, RunError> {
+        let hosted = std::mem::take(&mut self.hosted);
+        let mut outcome = self.join_whole()?;
+        let snapshots = hosted
+            .into_iter()
+            .map(|r| (r, std::mem::take(&mut outcome.snapshots[r])))
             .collect();
-        Ok(PartialOutcome { snapshots: snaps, metrics: outcome.metrics, flight: outcome.flight })
-    }
-}
-
-/// Launch a scheduler instance that hosts only `procs` — pairs of *global*
-/// rank id and process — out of `topo`'s ranks. Channels whose peer rank is
-/// not hosted become ports: sends queue on an unbounded egress ring drained
-/// by [`Gateway::pump_outbound`], and receives block until the transport
-/// feeds the ring via [`Gateway::push_inbound`].
-///
-/// Global ids are used throughout — rank ids and channel ids mean the same
-/// here as in the full topology, so checkpoints and wire frames never
-/// renumber anything.
-///
-/// No watchdog runs regardless of `config.watchdog`: a partial instance
-/// blocked on a remote peer is locally indistinguishable from deadlock, so
-/// liveness belongs to the supervisor (socket EOF / heartbeat).
-pub fn launch_partial<P>(
-    topo: &Topology,
-    procs: Vec<(ProcId, P)>,
-    config: ThreadedConfig,
-    faults: &FaultPlan,
-) -> PartialRun<P>
-where
-    P: Process + 'static,
-{
-    launch_partial_sink(topo, procs, config, faults, NoFlight)
-}
-
-/// [`launch_partial`] with the flight recorder enabled: the instance's
-/// scheduler events land in per-worker lanes and drain into
-/// [`PartialOutcome::flight`] at join. The per-lane window comes from
-/// [`ThreadedConfig::flight`] (default [`DEFAULT_FLIGHT_CAP`]). The
-/// `gateway` lane is written by [`Gateway::push_inbound`]; the transport
-/// must call that from a *single* inbound thread (the ring is
-/// single-writer), which the distributed worker does.
-pub fn launch_partial_flight<P>(
-    topo: &Topology,
-    procs: Vec<(ProcId, P)>,
-    config: ThreadedConfig,
-    faults: &FaultPlan,
-) -> PartialRun<P, FlightRecorder>
-where
-    P: Process + 'static,
-{
-    let n_workers = resolve_workers(config.workers, procs.len());
-    let cap = config.flight.unwrap_or(DEFAULT_FLIGHT_CAP);
-    launch_partial_sink(topo, procs, config, faults, FlightRecorder::new(n_workers, cap))
-}
-
-fn launch_partial_sink<P, F>(
-    topo: &Topology,
-    procs: Vec<(ProcId, P)>,
-    config: ThreadedConfig,
-    faults: &FaultPlan,
-    flight: F,
-) -> PartialRun<P, F>
-where
-    P: Process + 'static,
-    F: FlightSink,
-{
-    let n = topo.n_procs();
-    let mut hosted_mask = vec![false; n];
-    let hosted: Vec<ProcId> = procs.iter().map(|&(r, _)| r).collect();
-    for &r in &hosted {
-        assert!(r < n, "hosted rank {r} outside topology");
-        assert!(!hosted_mask[r], "rank {r} hosted twice");
-        hosted_mask[r] = true;
-    }
-    let target = hosted.len();
-    let n_workers = resolve_workers(config.workers, target);
-    let (chans, egress) = build_chans(topo, Some(&hosted_mask));
-    let n_chans = chans.len();
-    let mut slots: Vec<Option<Task<P>>> = (0..n).map(|_| None).collect();
-    for (r, p) in procs {
-        slots[r] = Some(fresh_task(p, n_chans));
-    }
-    let shared = build_shared(topo, slots, chans, egress, target, 0, n_workers, faults, flight);
-    if target == 0 {
-        shared.finish();
-    }
-    for (i, &rank) in hosted.iter().enumerate() {
-        lock(&shared.workers[i % n_workers].deque).push_back(rank);
-    }
-    let (handles, _) = spawn_pool(&shared, n_workers, None);
-    PartialRun { shared, hosted, n_workers, handles }
-}
-
-/// A consistent cut of a rank subset, ready to seed a resumed partial
-/// instance — the distributed backend's checkpoint-resumed migration
-/// payload, decoded. The same Theorem-1 argument that licenses
-/// [`run_seeded`] applies per subset: given every hosted rank's state, the
-/// contents of internal queues, and the delivery ordinals of cross
-/// channels, resuming is just another maximal interleaving.
-pub struct PartialSeed<P: Process> {
-    /// `(global rank, process, scheduler status, prefix metrics)` for each
-    /// hosted rank.
-    pub procs: Vec<(ProcId, P, ProcState<P::Msg>, ProcMetrics)>,
-    /// Queue contents at the cut for channels *internal* to the hosted
-    /// set: `(chan, messages front-to-back)`.
-    pub queues: Vec<(usize, Vec<P::Msg>)>,
-    /// Deliveries completed before the cut, per channel (full topology
-    /// length) — seeds hosted readers' receive ordinals so stall-fault
-    /// keys and dedup gates stay aligned across the cut.
-    pub consumed: Vec<u64>,
-    /// Writer-side traffic counters at the cut, per channel:
-    /// `(messages, bytes, max_depth)`. Applied to channels whose writer
-    /// is hosted; `messages` also tells the transport where the channel's
-    /// outbound sequence numbering resumes.
-    pub counters: Vec<(u64, u64, u64)>,
-}
-
-/// [`launch_partial`], but resuming from `seed` instead of starting every
-/// hosted rank at its initial state. Used by the distributed worker to
-/// resume a migrated group from the supervisor's checkpoint cut.
-pub fn launch_partial_seeded<P>(
-    topo: &Topology,
-    seed: PartialSeed<P>,
-    config: ThreadedConfig,
-    faults: &FaultPlan,
-) -> PartialRun<P>
-where
-    P: Process + 'static,
-{
-    launch_partial_seeded_sink(topo, seed, config, faults, NoFlight)
-}
-
-/// [`launch_partial_seeded`] with the flight recorder enabled (see
-/// [`launch_partial_flight`] for the lane contract).
-pub fn launch_partial_seeded_flight<P>(
-    topo: &Topology,
-    seed: PartialSeed<P>,
-    config: ThreadedConfig,
-    faults: &FaultPlan,
-) -> PartialRun<P, FlightRecorder>
-where
-    P: Process + 'static,
-{
-    let n_workers = resolve_workers(config.workers, seed.procs.len());
-    let cap = config.flight.unwrap_or(DEFAULT_FLIGHT_CAP);
-    launch_partial_seeded_sink(topo, seed, config, faults, FlightRecorder::new(n_workers, cap))
-}
-
-fn launch_partial_seeded_sink<P, F>(
-    topo: &Topology,
-    seed: PartialSeed<P>,
-    config: ThreadedConfig,
-    faults: &FaultPlan,
-    flight: F,
-) -> PartialRun<P, F>
-where
-    P: Process + 'static,
-    F: FlightSink,
-{
-    let PartialSeed { procs, queues, consumed, counters } = seed;
-    let n = topo.n_procs();
-    let mut hosted_mask = vec![false; n];
-    let hosted: Vec<ProcId> = procs.iter().map(|t| t.0).collect();
-    for &r in &hosted {
-        assert!(r < n, "hosted rank {r} outside topology");
-        assert!(!hosted_mask[r], "rank {r} hosted twice");
-        hosted_mask[r] = true;
-    }
-    let target = hosted.len();
-    let n_workers = resolve_workers(config.workers, target);
-    let (chans, egress) = build_chans(topo, Some(&hosted_mask));
-    let n_chans = chans.len();
-    assert_eq!(consumed.len(), n_chans, "seed consumed vector must cover the topology");
-    assert_eq!(counters.len(), n_chans, "seed counter vector must cover the topology");
-
-    // Seed writer-side counters for hosted-writer channels (the slice this
-    // instance reports; the supervisor takes channel totals from the final
-    // hosting group), then pre-fill internal rings single-threaded.
-    for (i, c) in chans.iter().enumerate() {
-        if matches!(c.kind, ChanKind::Direct | ChanKind::Egress) {
-            let (m, b, d) = counters[i];
-            c.messages.store(m, Ordering::Relaxed);
-            c.bytes.store(b, Ordering::Relaxed);
-            c.max_depth.store(d as usize, Ordering::Relaxed);
-        }
-    }
-    for (i, q) in queues {
-        assert!(
-            chans.get(i).is_some_and(|c| c.kind == ChanKind::Direct),
-            "seed queue {i} is not an internal channel of the hosted set"
-        );
-        for m in q {
-            assert!(
-                chans[i].ring.try_push(m).is_ok(),
-                "seed queue exceeds channel capacity (state/topology mismatch)"
-            );
-        }
+        Ok(PartialOutcome { snapshots, metrics: outcome.metrics, flight: outcome.flight })
     }
 
-    let mut finished = 0usize;
-    let mut runnable: Vec<ProcId> = Vec::new();
-    let mut slots: Vec<Option<Task<P>>> = (0..n).map(|_| None).collect();
-    for (rank, proc, st, pm) in procs {
-        let mut task = fresh_task(proc, n_chans);
-        task.pm = pm;
-        for (i, c) in chans.iter().enumerate() {
-            if c.reader == rank {
-                task.recvs_done[i] = consumed[i];
-            }
-        }
-        match st {
-            ProcState::Ready => runnable.push(rank),
-            ProcState::BlockedRecv(chan) => {
-                task.pending = Some(Pending::Recv { chan });
-                runnable.push(rank);
-            }
-            ProcState::BlockedSend(chan, msg) => {
-                let bytes = P::msg_size_bytes(&msg);
-                task.pending = Some(Pending::Send { chan, msg, bytes });
-                runnable.push(rank);
-            }
-            ProcState::Halted => {
-                task.result = Some(task.proc.snapshot());
-                finished += 1;
-            }
-        }
-        slots[rank] = Some(task);
+    /// [`PartialRun::join`] with snapshots indexed by global rank (empty
+    /// for ranks not hosted) — the whole-program runner's harvest.
+    pub(crate) fn join_whole(self) -> Result<ThreadedOutcome, RunError> {
+        harvest(&self.shared, self.handles, self.watchdog, self.n_workers)
     }
-
-    let shared = build_shared(topo, slots, chans, egress, target, finished, n_workers, faults, flight);
-    // Pre-spawn, so the control lane is safely ours for the lifecycle mark.
-    shared.flight.record(shared.control_lane(), FlightKind::Restore, 0, 0, finished as u64);
-    if finished == target {
-        shared.finish();
-    }
-    for (i, &rank) in runnable.iter().enumerate() {
-        lock(&shared.workers[i % n_workers].deque).push_back(rank);
-    }
-    let (handles, _) = spawn_pool(&shared, n_workers, None);
-    PartialRun { shared, hosted, n_workers, handles }
 }
 
 /// Transport-side handle to a partial run: the bridge between this
@@ -1089,7 +867,7 @@ impl<P: Process, F: FlightSink> Gateway<P, F> {
         }
         // The inbound delivery is a remote writer's send landing here;
         // record it in the gateway lane (single inbound thread by
-        // contract — see `launch_partial_flight`).
+        // contract — see [`launch`]).
         let lane = self.shared.gateway_lane();
         self.shared.flight.record(lane, FlightKind::Send, c.writer, chan.0, bytes);
         fence(Ordering::SeqCst);
@@ -1153,9 +931,9 @@ impl<P: Process, F: FlightSink> Gateway<P, F> {
         self.shared.flight.record(self.shared.gateway_lane(), kind, rank, chan, bytes);
     }
 
-    /// Record a provenance/lifecycle mark in the *control* lane. Partial
-    /// instances run no watchdog, so the transport's (single) outbound
-    /// thread owns this lane.
+    /// Record a provenance/lifecycle mark in the *control* lane. An
+    /// instance with port channels runs no watchdog, so the transport's
+    /// (single) outbound thread owns this lane.
     pub fn record_control(&self, kind: FlightKind, rank: usize, chan: usize, bytes: u64) {
         self.shared.flight.record(self.shared.control_lane(), kind, rank, chan, bytes);
     }
@@ -1392,6 +1170,7 @@ fn attempt_recv<P: Process, F: FlightSink>(
             // Lost race: the message landed between check and flag.
             c.reader_waiting.store(false, Ordering::SeqCst);
             task = shared.reclaim(rank);
+            task.pending = None;
             continue;
         }
         match shared.states[rank].compare_exchange(RUN, PARKED, Ordering::AcqRel, Ordering::Acquire)
@@ -1406,6 +1185,7 @@ fn attempt_recv<P: Process, F: FlightSink>(
                 // NOTIFIED: a wake raced us; consume the token and retry.
                 shared.states[rank].store(RUN, Ordering::SeqCst);
                 task = shared.reclaim(rank);
+                task.pending = None;
             }
         }
     }
@@ -1520,7 +1300,7 @@ fn watchdog_loop<P: Process, F: FlightSink>(shared: &Shared<P, F>, window: Durat
             (0..n).filter(|&r| shared.states[r].load(Ordering::SeqCst) == PARKED).count();
         let finished = shared.finished.load(Ordering::SeqCst);
         let wedged = progress == last_progress
-            && parked + finished == n
+            && parked + finished == shared.target
             && shared.queued_tasks() == 0;
         if !wedged {
             last_progress = progress;
@@ -1549,7 +1329,7 @@ fn watchdog_loop<P: Process, F: FlightSink>(shared: &Shared<P, F>, window: Durat
                 .collect()
         };
         if shared.progress.load(Ordering::SeqCst) != last_progress
-            || waits.len() + shared.finished.load(Ordering::SeqCst) != n
+            || waits.len() + shared.finished.load(Ordering::SeqCst) != shared.target
             || shared.queued_tasks() != 0
         {
             stalled_since = None;

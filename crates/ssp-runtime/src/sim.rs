@@ -547,45 +547,29 @@ impl<P: Process> Simulator<P> {
     /// [`crate::recover::run_recovering`], which wraps this stepping with
     /// checkpoints and a restart supervisor.
     pub fn run_injected(
-        mut self,
+        self,
         policy: &mut dyn SchedulePolicy,
         faults: &mut FaultPlan,
     ) -> Result<RunOutcome, RunError> {
-        let mut trace = Trace::new();
-        let mut picks = Vec::new();
-        let mut steps: u64 = 0;
-        let mut max_queued = 0usize;
-        let mut obs = NoopObserver;
-        while !self.all_halted() {
-            let runnable = self.runnable_under(faults);
-            if runnable.is_empty() {
-                return Err(waitgraph::deadlock_error(&self.topo, &self.blocked_list()));
-            }
-            if steps >= self.step_limit {
-                return Err(RunError::StepLimit { limit: self.step_limit });
-            }
-            let p = policy.pick(&runnable);
-            debug_assert!(runnable.contains(&p), "policy must pick a runnable process");
-            picks.push(p);
-            for (q, _, _) in self.blocked_list() {
-                if !self.is_runnable(q) {
-                    self.metrics.procs[q].blocked_steps += 1;
-                }
-            }
-            self.step_process_injected(p, faults, &mut trace, &mut obs)?;
-            steps += 1;
-            let queued: usize = self.queues.iter().map(|q| q.len()).sum();
-            max_queued = max_queued.max(queued);
-        }
-        let snapshots = self.procs.iter().map(|p| p.snapshot()).collect();
-        let metrics = std::mem::take(&mut self.metrics);
-        Ok(RunOutcome { snapshots, trace, steps, max_queued, picks, metrics })
+        self.run_loop(policy, faults, &mut NoopObserver)
     }
 
     /// [`Simulator::run`] with every atomic action reported to `obs`.
     pub fn run_observed(
+        self,
+        policy: &mut dyn SchedulePolicy,
+        obs: &mut dyn StepObserver,
+    ) -> Result<RunOutcome, RunError> {
+        self.run_loop(policy, &mut FaultPlan::none(), obs)
+    }
+
+    /// The one stepping loop: pick a runnable process under `policy` (with
+    /// `faults` withholding stalled deliveries), step it, repeat until every
+    /// process halts. Fault-free runs pass the empty plan.
+    fn run_loop(
         mut self,
         policy: &mut dyn SchedulePolicy,
+        faults: &mut FaultPlan,
         obs: &mut dyn StepObserver,
     ) -> Result<RunOutcome, RunError> {
         let mut trace = Trace::new();
@@ -593,7 +577,7 @@ impl<P: Process> Simulator<P> {
         let mut steps: u64 = 0;
         let mut max_queued = 0usize;
         while !self.all_halted() {
-            let runnable = self.runnable_set();
+            let runnable = self.runnable_under(faults);
             if runnable.is_empty() {
                 return Err(waitgraph::deadlock_error(&self.topo, &self.blocked_list()));
             }
@@ -610,7 +594,7 @@ impl<P: Process> Simulator<P> {
                     self.metrics.procs[q].blocked_steps += 1;
                 }
             }
-            self.step(p, &mut trace, obs)?;
+            self.step_process_injected(p, faults, &mut trace, obs)?;
             steps += 1;
             let queued: usize = self.queues.iter().map(|q| q.len()).sum();
             max_queued = max_queued.max(queued);

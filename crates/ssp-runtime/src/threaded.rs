@@ -10,7 +10,9 @@
 //! of paying per-rank context-switch tax. Theorem 1 is what licenses not
 //! caring which worker runs which rank when: the final state equals the
 //! simulated runs' final state, which the `spsc_invariance` suite pins
-//! bitwise.
+//! bitwise. Every run enters the pool through one launch,
+//! [`crate::sched::launch`]: a fresh run is a resume from the zero cut, and
+//! a whole-program run is a partial run hosting every rank.
 //!
 //! Channels are lock-free SPSC rings ([`crate::spsc::SpscRing`]) — the
 //! single-reader single-writer restriction Theorem 1 already demands means
@@ -35,9 +37,9 @@ use std::time::Duration;
 use crate::chan::Topology;
 use crate::error::RunError;
 use crate::fault::FaultPlan;
+use crate::flight::{FlightRecorder, NoFlight};
 use crate::proc::Process;
-use crate::sched;
-use crate::sim::SimState;
+use crate::sched::{self, PartialSeed};
 use crate::trace::RunMetrics;
 
 /// Options for [`run_threaded_with`].
@@ -158,28 +160,27 @@ pub fn run_threaded_faulted<P>(
 where
     P: Process + 'static,
 {
-    sched::run_scheduled(topo, procs, config, faults)
+    assert_eq!(procs.len(), topo.n_procs(), "process count must match topology");
+    let seed = PartialSeed::fresh(topo, procs.into_iter().enumerate().collect());
+    run_whole(topo, seed, config, faults)
 }
 
-/// Resume a run on the worker pool from a simulator cut ([`SimState`],
-/// typically the product of replaying a fingerprint-verified checkpoint
-/// with [`crate::recover::replay_checkpoint`]). The prefix's metrics ride
-/// along: process-local step ordinals keep counting from where the prefix
-/// left them (so [`FaultPlan`] crashes keyed past the cut still fire at the
-/// right action), and channel traffic counters continue instead of
-/// restarting. By Theorem 1 the final snapshots equal those of any
-/// uninterrupted run. Used by [`crate::recover::run_threaded_recovering`]
-/// to resume after a crash rather than restart from scratch.
-pub fn run_threaded_seeded<P>(
+/// Run a seed hosting every rank to completion on the pool — a fresh run
+/// from the zero cut, or a resume from a simulator cut (crash recovery).
+/// The one place the in-process runners pick the flight-recorder build.
+pub(crate) fn run_whole<P>(
     topo: &Topology,
-    state: SimState<P>,
+    seed: PartialSeed<P>,
     config: ThreadedConfig,
     faults: &FaultPlan,
 ) -> Result<ThreadedOutcome, RunError>
 where
     P: Process + 'static,
 {
-    sched::run_seeded(topo, state, config, faults)
+    match config.flight {
+        None => sched::launch::<P, NoFlight>(topo, seed, config, faults).join_whole(),
+        Some(_) => sched::launch::<P, FlightRecorder>(topo, seed, config, faults).join_whole(),
+    }
 }
 
 #[cfg(test)]
