@@ -26,8 +26,8 @@ use ssp_runtime::json::JsonValue;
 use ssp_runtime::{
     launch, ChannelId, Effect, FaultPlan, FlightKind, FlightLog, FlightRecorder, FlightSink,
     Gateway, GroupManifest, LiveTelemetry, ManifestRank, ManifestStatus, NoFlight, PartialRun,
-    PartialSeed, ProcMetrics, ProcState, Process, RoundRobin, RunError, RunMetrics, Simulator,
-    ThreadedConfig, Topology,
+    PartialSeed, ProcState, Process, RoundRobin, RunError, RunMetrics, Simulator, StepEvent,
+    StepObserver, ThreadedConfig, Topology, Trace,
 };
 
 fn bad_args(detail: String) -> RunError {
@@ -84,9 +84,10 @@ pub trait Workload: Send + Sync {
     /// checkpoint manifest. Outbound cross-group messages go to `sink`;
     /// inbound ones arrive through the returned [`GroupIngress`]. Every
     /// input is validated (this path reads network bytes): ranks out of
-    /// range or listed twice, manifest rank sets that do not match, channel
-    /// ids out of range, queues on non-internal channels and undecodable
-    /// states or messages all fail typed.
+    /// range or listed twice, manifests that do not list each of them
+    /// once, channel ids out of range, queues seeded twice or on
+    /// non-internal channels and undecodable states or messages all fail
+    /// typed.
     fn launch_group(
         &self,
         ranks: &[usize],
@@ -108,18 +109,26 @@ pub trait Workload: Send + Sync {
 // The supervisor's whole-program shadow.
 // ---------------------------------------------------------------------------
 
-/// The supervisor's untyped handle on a [`ShadowExec`].
+/// The supervisor's whole-program shadow: the workload's own [`Simulator`],
+/// held at a per-channel send frontier.
 ///
 /// In checkpointed transport modes the supervisor re-executes the *entire*
-/// program from the registry, one deterministic step at a time, gated by
-/// the DATA mirrors workers send it. Theorem 1 is what makes this a shadow
+/// program from the registry, one deterministic step at a time, in the same
+/// simulator every other backend's reference run uses. A cross-group
+/// channel is *gated*: its send frontier is its sent count plus the DATA
+/// mirrors workers have logged for it but the shadow has not yet matched,
+/// so a shadow send on it completes only against a mirror, and the sent
+/// message must encode to exactly the mirrored bytes. Gating keeps the
+/// shadow at or behind the real execution on every cross-group channel, so
+/// the in-flight window `[consumed, sent)` of any cut is provably present
+/// in the supervisor's channel logs. Theorem 1 is what makes this a shadow
 /// rather than a guess: deterministic processes on SRSW channels produce
 /// the same per-channel message *sequences* under every maximal
-/// interleaving, so the shadow's trajectory is the real system's
-/// trajectory — and any periodic cut of the shadow is a consistent global
-/// state the supervisor can hand to a merged group as a resume manifest.
-/// Mismatched mirror bytes therefore prove a determinism violation, which
-/// surfaces as a typed error instead of a silently-wrong resume.
+/// interleaving, so the shadow's trajectory is the real system's, and any
+/// periodic cut of it is a consistent global state the supervisor can
+/// hand to a merged group as a resume manifest. Mismatched mirror bytes
+/// therefore prove a determinism violation, which surfaces as a typed
+/// error instead of a silently-wrong resume.
 pub trait ProgramShadow: Send {
     /// Mark `chan` as gated (cross-group: shadow sends must wait for and
     /// byte-match a mirror) or free-running (group-internal). Un-gating
@@ -145,68 +154,40 @@ pub trait ProgramShadow: Send {
     fn manifest(&self, ranks: &[usize]) -> Vec<u8>;
 }
 
-/// Shadow scheduler status of one rank (an untyped mirror of
-/// [`ProcState`], kept separate so gated sends can *hold* the message
-/// while waiting for a mirror credit).
-#[derive(Clone)]
-enum ShStatus<M> {
-    Ready,
-    BlockedRecv(usize),
-    BlockedSend(usize, M),
-    Halted,
-}
-
-/// One consistent cut of the shadow (a clone of its whole data plane).
-struct ShadowCut<P: Process + Clone>
+/// The typed shadow behind [`ProgramShadow`].
+struct Shadow<P: Process + Clone>
 where
     P::Msg: Clone,
 {
-    procs: Vec<P>,
-    status: Vec<ShStatus<P::Msg>>,
-    queues: Vec<VecDeque<P::Msg>>,
-    consumed: Vec<u64>,
-    counters: Vec<(u64, u64, u64)>,
-    pm: Vec<ProcMetrics>,
+    sim: Simulator<P>,
+    /// The latest cut: a clone of `sim`, taken every `every` steps.
+    cut: Simulator<P>,
+    /// Per gated channel (`None` = free-running): the logged mirror bytes,
+    /// in seq order, not yet matched by a shadow send.
+    credits: Vec<Option<VecDeque<Vec<u8>>>>,
     steps: u64,
-}
-
-/// The typed whole-program shadow executor behind [`ProgramShadow`].
-///
-/// Step semantics replicate [`Simulator`] exactly (delivery = pop +
-/// resume(Some); a blocked send completes *without* resuming the process),
-/// with one addition: sends on *gated* channels complete only when a
-/// mirror credit is queued, and the completed message's encoding must
-/// byte-match that credit. Gating keeps the shadow at-or-behind the real
-/// execution on every cross-group channel, which is what makes the cut's
-/// in-flight window `[consumed, sent)` provably present in the
-/// supervisor's channel logs (every gated send the shadow completed was
-/// first logged as a mirror).
-struct ShadowExec<P: Process + Clone>
-where
-    P::Msg: Clone,
-{
-    topo: Topology,
-    procs: Vec<P>,
-    status: Vec<ShStatus<P::Msg>>,
-    queues: Vec<VecDeque<P::Msg>>,
-    /// Deliveries completed per channel.
-    consumed: Vec<u64>,
-    /// Writer-side `(messages, bytes, max_depth)` per channel.
-    counters: Vec<(u64, u64, u64)>,
-    pm: Vec<ProcMetrics>,
-    gated: Vec<bool>,
-    /// Mirror credits per gated channel: the logged wire bytes, in seq
-    /// order, not yet consumed by a shadow send.
-    credits: Vec<VecDeque<Vec<u8>>>,
-    steps: u64,
-    cuts: u64,
     every: u64,
-    cut: ShadowCut<P>,
     encode: fn(&P::Msg) -> Vec<u8>,
     state: fn(&P) -> Vec<u8>,
 }
 
-impl<P: Process + Clone> ShadowExec<P>
+/// Remembers the channel of the send a step completed, if any.
+struct SentOn(Option<ChannelId>);
+
+impl StepObserver for SentOn {
+    fn on_event(&mut self, ev: StepEvent) {
+        if let StepEvent::Sent { chan, .. } = ev {
+            self.0 = Some(chan);
+        }
+    }
+}
+
+/// Atomic actions taken so far by a simulator.
+fn sim_steps<P: Process>(sim: &Simulator<P>) -> u64 {
+    sim.metrics().procs.iter().map(|m| m.steps).sum()
+}
+
+impl<P: Process + Clone> Shadow<P>
 where
     P::Msg: Clone,
 {
@@ -216,172 +197,83 @@ where
         encode: fn(&P::Msg) -> Vec<u8>,
         state: fn(&P) -> Vec<u8>,
         every: u64,
-    ) -> ShadowExec<P> {
+    ) -> Shadow<P> {
         let n = topo.n_channels();
-        let status: Vec<ShStatus<P::Msg>> = vec![ShStatus::Ready; procs.len()];
-        let queues: Vec<VecDeque<P::Msg>> = vec![VecDeque::new(); n];
-        let pm = vec![ProcMetrics::default(); procs.len()];
-        let cut = ShadowCut {
-            procs: procs.clone(),
-            status: status.clone(),
-            queues: queues.clone(),
-            consumed: vec![0; n],
-            counters: vec![(0, 0, 0); n],
-            pm: pm.clone(),
+        let sim = Simulator::new(topo, procs);
+        Shadow {
+            cut: sim.clone(),
+            sim,
+            credits: vec![None; n],
             steps: 0,
-        };
-        ShadowExec {
-            topo,
-            procs,
-            status,
-            queues,
-            consumed: vec![0; n],
-            counters: vec![(0, 0, 0); n],
-            pm,
-            gated: vec![false; n],
-            credits: vec![VecDeque::new(); n],
-            steps: 0,
-            cuts: 1,
             every: every.max(1),
-            cut,
             encode,
             state,
         }
     }
 
-    fn can_complete_send(&self, c: usize) -> bool {
-        if self.gated[c] {
-            return !self.credits[c].is_empty();
-        }
-        match self.topo.spec(ChannelId(c)).capacity {
-            Some(k) => self.queues[c].len() < k,
-            None => true,
-        }
-    }
-
-    fn is_runnable(&self, p: usize) -> bool {
-        match &self.status[p] {
-            ShStatus::Ready => true,
-            ShStatus::BlockedRecv(c) => !self.queues[*c].is_empty(),
-            ShStatus::BlockedSend(c, _) => self.can_complete_send(*c),
-            ShStatus::Halted => false,
-        }
-    }
-
-    /// Complete a send on `c` (gated: consume + byte-verify the credit).
-    fn complete_send(&mut self, p: usize, c: usize, msg: P::Msg) -> Result<(), RunError> {
-        if self.gated[c] {
-            let credit = self.credits[c].pop_front().expect("send gated without credit");
-            let enc = (self.encode)(&msg);
-            if enc != credit {
-                return Err(RunError::Protocol {
-                    proc: p,
-                    detail: format!(
-                        "determinism violation on ch{c}: shadow send #{} encodes to {} bytes \
-                         that differ from the mirrored frame ({} bytes)",
-                        self.counters[c].0,
-                        enc.len(),
-                        credit.len()
-                    ),
-                });
-            }
-        }
-        let ctr = &mut self.counters[c];
-        ctr.0 += 1;
-        ctr.1 += P::msg_size_bytes(&msg);
-        self.queues[c].push_back(msg);
-        ctr.2 = ctr.2.max(self.queues[c].len() as u64);
-        self.pm[p].sends += 1;
-        Ok(())
-    }
-
-    fn apply_effect(&mut self, p: usize, effect: Effect<P::Msg>) -> Result<(), RunError> {
-        match effect {
-            Effect::Compute { units } => {
-                self.pm[p].compute_units += units;
-                self.status[p] = ShStatus::Ready;
-            }
-            Effect::Send { chan, msg } => {
-                let c = chan.0;
-                if self.can_complete_send(c) {
-                    self.complete_send(p, c, msg)?;
-                    self.status[p] = ShStatus::Ready;
-                } else {
-                    self.status[p] = ShStatus::BlockedSend(c, msg);
+    /// One step of rank `p`; a send it completes on a gated channel
+    /// consumes that channel's oldest credit and must match it bytewise.
+    fn step(&mut self, p: usize) -> Result<(), RunError> {
+        let mut sent = SentOn(None);
+        self.steps += 1;
+        self.sim.step_process_with(p, &mut Trace::new(), &mut sent)?;
+        if let Some(c) = sent.0 {
+            if let Some(credits) = &mut self.credits[c.0] {
+                let credit = credits.pop_front().expect("the frontier admits sends on credit");
+                let enc = (self.encode)(self.sim.queue(c).back().expect("the send is queued"));
+                if enc != credit {
+                    return Err(RunError::Protocol {
+                        proc: p,
+                        detail: format!(
+                            "determinism violation on ch{}: shadow send #{} encodes to {} bytes \
+                             that differ from the mirrored frame ({} bytes)",
+                            c.0,
+                            self.sim.metrics().channels[c.0].messages - 1,
+                            enc.len(),
+                            credit.len()
+                        ),
+                    });
                 }
             }
-            Effect::Recv { chan } => self.status[p] = ShStatus::BlockedRecv(chan.0),
-            Effect::Halt => self.status[p] = ShStatus::Halted,
-            Effect::Fault { error } => {
-                self.status[p] = ShStatus::Halted;
-                return Err(error);
-            }
+        }
+        if self.steps.is_multiple_of(self.every) {
+            self.cut = self.sim.clone();
         }
         Ok(())
     }
 
-    fn step(&mut self, p: usize) -> Result<(), RunError> {
-        self.steps += 1;
-        self.pm[p].steps += 1;
-        match std::mem::replace(&mut self.status[p], ShStatus::Ready) {
-            ShStatus::Ready => {
-                let effect = self.procs[p].resume(None);
-                self.apply_effect(p, effect)?;
-            }
-            ShStatus::BlockedRecv(c) => {
-                let msg = self.queues[c].pop_front().expect("recv stepped on empty queue");
-                self.consumed[c] += 1;
-                self.pm[p].receives += 1;
-                let effect = self.procs[p].resume(Some(msg));
-                self.apply_effect(p, effect)?;
-            }
-            // Like the simulator: completing a blocked send does not
-            // resume the process in the same step.
-            ShStatus::BlockedSend(c, msg) => self.complete_send(p, c, msg)?,
-            ShStatus::Halted => unreachable!("halted rank stepped"),
-        }
-        if self.steps - self.cut.steps >= self.every {
-            self.take_cut();
-        }
-        Ok(())
-    }
-
-    fn take_cut(&mut self) {
-        self.cut = ShadowCut {
-            procs: self.procs.clone(),
-            status: self.status.clone(),
-            queues: self.queues.clone(),
-            consumed: self.consumed.clone(),
-            counters: self.counters.clone(),
-            pm: self.pm.clone(),
-            steps: self.steps,
-        };
-        self.cuts += 1;
+    /// Keep `chan`'s send frontier at its sent count plus its credits.
+    fn set_frontier(&mut self, chan: usize) {
+        let frontier = self.credits[chan].as_ref().map(|credits| {
+            self.sim.metrics().channels[chan].messages + credits.len() as u64
+        });
+        self.sim.set_send_frontier(ChannelId(chan), frontier);
     }
 }
 
-impl<P: Process + Clone + 'static> ProgramShadow for ShadowExec<P>
+impl<P: Process + Clone + 'static> ProgramShadow for Shadow<P>
 where
     P::Msg: Clone,
 {
     fn set_gated(&mut self, chan: usize, gated: bool) {
-        self.gated[chan] = gated;
-        if !gated {
-            self.credits[chan].clear();
+        if gated != self.credits[chan].is_some() {
+            self.credits[chan] = gated.then(VecDeque::new);
+            self.set_frontier(chan);
         }
     }
 
     fn on_mirror(&mut self, chan: usize, bytes: &[u8]) {
-        if self.gated[chan] {
-            self.credits[chan].push_back(bytes.to_vec());
+        if let Some(credits) = &mut self.credits[chan] {
+            credits.push_back(bytes.to_vec());
+            self.set_frontier(chan);
         }
     }
 
     fn advance(&mut self) -> Result<(), RunError> {
         loop {
             let mut progressed = false;
-            for p in 0..self.procs.len() {
-                while self.is_runnable(p) {
+            for p in 0..self.sim.metrics().procs.len() {
+                while self.sim.is_runnable(p) {
                     self.step(p)?;
                     progressed = true;
                 }
@@ -397,58 +289,63 @@ where
     }
 
     fn cut_steps(&self) -> u64 {
-        self.cut.steps
+        sim_steps(&self.cut)
     }
 
     fn cuts_taken(&self) -> u64 {
-        self.cuts
+        1 + self.steps / self.every
     }
 
     fn cut_consumed(&self, chan: usize) -> u64 {
-        self.cut.consumed[chan]
+        self.cut.metrics().channels[chan].messages - self.cut.queue(ChannelId(chan)).len() as u64
     }
 
     fn manifest(&self, ranks: &[usize]) -> Vec<u8> {
+        let cut = self.cut.clone().into_state();
+        let chans = &cut.metrics.channels;
         let rset: BTreeSet<usize> = ranks.iter().copied().collect();
-        let cut = &self.cut;
         let mranks = ranks
             .iter()
-            .map(|&r| {
-                let status = match &cut.status[r] {
-                    ShStatus::Ready => ManifestStatus::Ready,
-                    ShStatus::BlockedRecv(c) => ManifestStatus::BlockedRecv(*c as u32),
-                    ShStatus::BlockedSend(c, m) => {
-                        ManifestStatus::BlockedSend(*c as u32, (self.encode)(m))
+            .map(|&r| ManifestRank {
+                rank: r as u32,
+                status: match &cut.status[r] {
+                    ProcState::Ready => ManifestStatus::Ready,
+                    ProcState::BlockedRecv(c) => ManifestStatus::BlockedRecv(c.0 as u32),
+                    ProcState::BlockedSend(c, m) => {
+                        ManifestStatus::BlockedSend(c.0 as u32, (self.encode)(m))
                     }
-                    ShStatus::Halted => ManifestStatus::Halted,
-                };
-                ManifestRank {
-                    rank: r as u32,
-                    status,
-                    state: (self.state)(&cut.procs[r]),
-                    metrics: cut.pm[r],
-                }
+                    ProcState::Halted => ManifestStatus::Halted,
+                },
+                state: (self.state)(&cut.procs[r]),
+                metrics: cut.metrics.procs[r],
             })
             .collect();
         // Only channels *internal* to the resumed set travel as seeded
         // queues; in-flight messages on inbound channels are replayed
         // from the supervisor's logs (gating guarantees they are there).
-        let queues = self
-            .topo
-            .specs()
+        let queues = cut
+            .queues
             .iter()
+            .zip(chans)
             .enumerate()
-            .filter(|(i, s)| {
-                rset.contains(&s.writer) && rset.contains(&s.reader) && !cut.queues[*i].is_empty()
+            .filter(|(_, (q, m))| {
+                !q.is_empty() && rset.contains(&m.writer) && rset.contains(&m.reader)
             })
-            .map(|(i, _)| (i as u32, cut.queues[i].iter().map(|m| (self.encode)(m)).collect()))
+            .map(|(i, (q, _))| (i as u32, q.iter().map(self.encode).collect()))
             .collect();
         GroupManifest {
-            steps: cut.steps,
+            steps: sim_steps(&self.cut),
             ranks: mranks,
             queues,
-            consumed: cut.consumed.clone(),
-            counters: cut.counters.clone(),
+            consumed: chans
+                .iter()
+                .zip(&cut.queues)
+                .map(|(m, q)| m.messages - q.len() as u64)
+                .collect(),
+            counters: chans
+                .iter()
+                .map(|m| (m.messages, m.bytes, m.max_queue_depth as u64))
+                .collect(),
         }
         .encode()
     }
@@ -468,9 +365,10 @@ fn select<P>(all: Vec<P>, ranks: &[usize]) -> Result<Vec<(usize, P)>, RunError> 
 }
 
 /// Decode a manifest into the [`PartialSeed`] resuming `templates`.
-/// Validation is exhaustive (network-facing): rank set mismatches,
-/// channel ids out of range, seeded queues on non-internal channels and
-/// undecodable payloads are typed errors, never panics.
+/// Validation is exhaustive (network-facing): rank lists that do not name
+/// each template once, channel ids out of range, queues seeded twice or on
+/// non-internal channels and undecodable payloads are typed errors, never
+/// panics.
 fn seed_from_manifest<P: Process>(
     topo: &Topology,
     templates: Vec<(usize, P)>,
@@ -490,10 +388,13 @@ fn seed_from_manifest<P: Process>(
     let by_rank: BTreeMap<usize, &ManifestRank> =
         manifest.ranks.iter().map(|r| (r.rank as usize, r)).collect();
     let rset: BTreeSet<usize> = templates.iter().map(|&(r, _)| r).collect();
-    if by_rank.len() != templates.len() || !rset.iter().all(|r| by_rank.contains_key(r)) {
+    if manifest.ranks.len() != by_rank.len()
+        || by_rank.len() != templates.len()
+        || !rset.iter().all(|r| by_rank.contains_key(r))
+    {
         return Err(bad(format!(
-            "manifest rank set {:?} does not match assigned ranks {:?}",
-            by_rank.keys().collect::<Vec<_>>(),
+            "manifest ranks {:?} do not list each assigned rank {:?} once",
+            manifest.ranks.iter().map(|r| r.rank).collect::<Vec<_>>(),
             rset
         )));
     }
@@ -521,8 +422,12 @@ fn seed_from_manifest<P: Process>(
         procs.push((rank, proc, status, mr.metrics));
     }
     let mut queues = Vec::with_capacity(manifest.queues.len());
+    let mut seeded = BTreeSet::new();
     for (chan, msgs) in &manifest.queues {
         let c = chan_of(*chan, "queue")?;
+        if !seeded.insert(c) {
+            return Err(bad(format!("manifest seeds the queue of ch{c} twice")));
+        }
         let spec = topo.spec(ChannelId(c));
         if !(rset.contains(&spec.writer) && rset.contains(&spec.reader)) {
             return Err(bad(format!(
@@ -855,7 +760,7 @@ impl Workload for RingWorkload {
     }
 
     fn shadow(&self, every: u64) -> Box<dyn ProgramShadow> {
-        Box::new(ShadowExec::new(
+        Box::new(Shadow::new(
             self.topology(),
             self.procs(),
             encode_u64,
@@ -934,7 +839,7 @@ impl Workload for FdtdAWorkload {
 
     fn shadow(&self, every: u64) -> Box<dyn ProgramShadow> {
         let (topo, procs) = self.build();
-        Box::new(ShadowExec::new(topo, procs, encode_mesh, mesh_state_encode, every))
+        Box::new(Shadow::new(topo, procs, encode_mesh, mesh_state_encode, every))
     }
 }
 
@@ -1048,29 +953,33 @@ mod tests {
         // Run the shadow to a mid-run cut (cut every step so the final
         // advance leaves a fresh one), manifest ALL ranks, seed a single
         // threaded group from it, and demand the reference snapshots.
-        let w = build_workload("ring", &ring_args(3, 4)).unwrap();
-        let mut sh = w.shadow(1);
-        sh.advance().unwrap();
-        assert!(sh.steps() > 0);
-        assert_eq!(sh.cut_steps(), sh.steps());
-        assert!(sh.cuts_taken() > 1);
-        let ranks = vec![0, 1, 2];
-        let m = GroupManifest::decode(&sh.manifest(&ranks)).unwrap();
-        // Whole program halted in the shadow; resume should agree.
-        let (_, join) = w
-            .launch_group(
-                &ranks,
-                Some(&m),
-                Some(2),
-                None,
-                Box::new(|c, _| panic!("no cross-group sends expected on ch{c}")),
-            )
-            .unwrap();
-        let (mut snaps, _, _) = join.join().unwrap();
-        snaps.sort_by_key(|&(r, _)| r);
-        let reference = w.run_reference().unwrap();
-        for (r, bytes) in snaps {
-            assert_eq!(bytes, reference[r], "rank {r} diverged after resume");
+        for w in [
+            build_workload("ring", &ring_args(3, 4)).unwrap(),
+            build_workload("fdtd-a", &fdtd_a_args("tiny", 4)).unwrap(),
+        ] {
+            let mut sh = w.shadow(1);
+            sh.advance().unwrap();
+            assert!(sh.steps() > 0);
+            assert_eq!(sh.cut_steps(), sh.steps());
+            assert!(sh.cuts_taken() > 1);
+            let ranks: Vec<usize> = (0..w.n_ranks()).collect();
+            let m = GroupManifest::decode(&sh.manifest(&ranks)).unwrap();
+            // Whole program halted in the shadow; resume should agree.
+            let (_, join) = w
+                .launch_group(
+                    &ranks,
+                    Some(&m),
+                    Some(2),
+                    None,
+                    Box::new(|c, _| panic!("no cross-group sends expected on ch{c}")),
+                )
+                .unwrap();
+            let (mut snaps, _, _) = join.join().unwrap();
+            snaps.sort_by_key(|&(r, _)| r);
+            let reference = w.run_reference().unwrap();
+            for (r, bytes) in snaps {
+                assert_eq!(bytes, reference[r], "rank {r} diverged after resume");
+            }
         }
     }
 
@@ -1116,6 +1025,17 @@ mod tests {
         // A seeded queue on a channel that is not internal to the ranks.
         let mut bad = good.clone();
         bad.queues = vec![(2, vec![7u64.to_le_bytes().to_vec()])];
+        let r = w.launch_group(&[0, 1], Some(&bad), None, None, sink());
+        assert!(matches!(r, Err(RunError::Protocol { .. })));
+        // A rank listed twice, with the rank set still matching.
+        let mut bad = good.clone();
+        bad.ranks.push(bad.ranks[0].clone());
+        let r = w.launch_group(&[0, 1], Some(&bad), None, None, sink());
+        assert!(matches!(r, Err(RunError::Protocol { .. })));
+        // A channel's queue seeded twice.
+        let mut bad = good.clone();
+        let token = 7u64.to_le_bytes().to_vec();
+        bad.queues = vec![(0, vec![token.clone()]), (0, vec![token])];
         let r = w.launch_group(&[0, 1], Some(&bad), None, None, sink());
         assert!(matches!(r, Err(RunError::Protocol { .. })));
         // An undecodable blocked-send message.

@@ -35,17 +35,18 @@
 //!
 //! With [`DistConfig::checkpoint_every`] set, the supervisor maintains a
 //! whole-program **shadow execution** ([`crate::registry::ProgramShadow`]):
-//! deterministic replicas of every rank, advanced on the supervisor using
-//! the logged mirrors as *credits* for cross-group sends — so the shadow
-//! never runs ahead of what actually happened on any cross-group channel,
-//! and any state it reaches is a consistent global cut (the paper's
-//! Theorem 1 argument). Every `checkpoint_every` shadow steps it clones a
-//! cut. On a worker death the dead ranks resume *from the latest cut*: the
-//! supervisor sends a RESUME frame (a sealed [`ssp_runtime::GroupManifest`]
-//! of the cut state) before the ASSIGN, replays only the logged in-flight
-//! window `[cut consumed .. head)` per inbound channel, and truncates every
-//! channel log at the cut's consumed frontier — making both replay cost
-//! and log retention O(checkpoint interval) instead of O(history).
+//! the workload's own [`ssp_runtime::Simulator`], advanced on the
+//! supervisor with a send frontier on every cross-group channel that only
+//! the logged mirrors raise — so the shadow never runs ahead of what
+//! actually happened on any cross-group channel, and any state it reaches
+//! is a consistent global cut (the paper's Theorem 1 argument). Every
+//! `checkpoint_every` shadow steps it clones a cut. On a worker death the
+//! dead ranks resume *from the latest cut*: the supervisor sends a RESUME
+//! frame (a sealed [`ssp_runtime::GroupManifest`] of the cut state) before
+//! the ASSIGN, replays only the logged in-flight window `[cut consumed ..
+//! head)` per inbound channel, and truncates every channel log at the
+//! cut's consumed frontier — making both replay cost and log retention
+//! O(checkpoint interval) instead of O(history).
 //!
 //! Without `checkpoint_every` the PR 7 behavior is preserved: migrated
 //! groups rebuild from their initial state and the full logs replay.

@@ -292,150 +292,93 @@ where
     P: Process + Clone,
     P::Msg: Clone,
 {
-    let every = cfg.checkpoint_every.max(1);
-    let mut sim = Simulator::new(topo, procs);
-    let mut trace = Trace::new();
-    let mut picks: Vec<ProcId> = Vec::new();
-    let mut steps: u64 = 0;
     let mut stats = RecoveryStats::default();
-    let mut fired: Vec<Crash> = Vec::new();
-    let mut latest = Checkpoint::take(0, &picks, &sim, &faults, &trace);
-
-    while !sim.is_done() {
-        let failure = {
-            let runnable = sim.runnable_under(&faults);
-            if runnable.is_empty() {
-                Some(sim.deadlock_error())
-            } else if steps >= sim.step_limit {
-                // Would recur on every re-run: not recoverable.
-                return Err(RunError::StepLimit { limit: sim.step_limit });
-            } else {
-                let p = policy.pick(&runnable);
-                match sim.step_process_injected(p, &mut faults, &mut trace, obs) {
-                    Ok(()) => {
-                        picks.push(p);
-                        steps += 1;
-                        if steps.is_multiple_of(every) {
-                            latest = Checkpoint::take(steps, &picks, &sim, &faults, &trace);
-                            stats.checkpoints_taken += 1;
-                        }
-                        None
-                    }
-                    Err(e @ RunError::Injected { .. }) => {
-                        if let RunError::Injected { proc, step } = e {
-                            fired.push(Crash { proc, at_step: step });
-                        }
-                        Some(e)
-                    }
-                    // Protocol violations etc. are deterministic program
-                    // bugs: re-running reproduces them, so don't.
-                    Err(e) => return Err(e),
-                }
-            }
-        };
-        if let Some(e) = failure {
-            stats.faults_fired.push(e.clone());
-            stats.restarts += 1;
-            if stats.restarts as usize > cfg.max_restarts {
-                return Err(e);
-            }
-            // Restore the latest checkpoint. The fault plan rolls back with
-            // it — except that every crash that has *ever* fired stays
-            // consumed, else the same proc-local trigger would re-fire on
-            // every lineage and recovery would livelock.
-            sim = latest.restore_sim();
-            faults = latest.faults().clone();
-            for c in &fired {
-                faults.remove_crash(*c);
-            }
-            trace = latest.trace().clone();
-            picks = latest.picks().to_vec();
-            stats.steps_reexecuted += steps - latest.step();
-            steps = latest.step();
-        }
-    }
-
+    let sim = Simulator::new(topo, procs);
+    let end = recover_until(sim, &mut faults, policy, cfg, &mut stats, obs, |_| false)?;
     Ok(RecoveryOutcome {
-        snapshots: sim.snapshots_now(),
-        picks,
-        steps,
-        metrics: sim.metrics().clone(),
-        trace,
+        snapshots: end.sim.snapshots_now(),
+        picks: end.picks,
+        steps: end.step,
+        metrics: end.sim.metrics().clone(),
+        trace: end.trace,
         stats,
     })
 }
 
-/// Simulate the program from its initial state until `target` has
-/// completed `target_steps` local steps, and checkpoint that cut. This is
-/// how the threaded recovery path rebuilds a crash frontier: process-local
-/// step ordinals are schedule-independent in the paper's model, so the
-/// round-robin simulation passes through exactly the state the threaded
-/// lineage crashed out of. Crashes planned before the frontier fire *here*
-/// (the plan's bookkeeping advances exactly as a live run's would); each
-/// is consumed, counted, and recovered via the latest mini-checkpoint,
-/// just like [`run_recovering`].
-fn frontier_checkpoint<P>(
-    topo: Topology,
-    procs: Vec<P>,
+/// The one recovery loop: step `sim` under `policy` with `faults` injected
+/// until every process halts or `stop` holds, checkpointing every
+/// [`RecoveryConfig::checkpoint_every`] steps. A crash that fires (or a
+/// deadlock) restores the latest checkpoint and re-runs, up to
+/// [`RecoveryConfig::max_restarts`] times. Returns the final lineage as a
+/// checkpoint.
+///
+/// The plan rolls back with each restore, except that every crash that has
+/// *ever* fired stays consumed — else the same proc-local trigger would
+/// re-fire on every lineage and recovery would livelock.
+fn recover_until<P>(
+    mut sim: Simulator<P>,
     faults: &mut FaultPlan,
-    target: ProcId,
-    target_steps: u64,
+    policy: &mut dyn SchedulePolicy,
     cfg: RecoveryConfig,
     stats: &mut RecoveryStats,
+    obs: &mut dyn StepObserver,
+    stop: impl Fn(&Simulator<P>) -> bool,
 ) -> Result<Checkpoint<P>, RunError>
 where
     P: Process + Clone,
     P::Msg: Clone,
 {
     let every = cfg.checkpoint_every.max(1);
-    let mut policy = RoundRobin::new();
-    let mut sim = Simulator::new(topo, procs);
     let mut trace = Trace::new();
     let mut picks: Vec<ProcId> = Vec::new();
     let mut steps: u64 = 0;
     let mut fired: Vec<Crash> = Vec::new();
     let mut latest = Checkpoint::take(0, &picks, &sim, faults, &trace);
-    while sim.metrics().procs[target].steps < target_steps && !sim.is_done() {
+
+    while !sim.is_done() && !stop(&sim) {
         let runnable = sim.runnable_under(faults);
-        if runnable.is_empty() {
-            return Err(sim.deadlock_error());
-        }
-        let p = policy.pick(&runnable);
-        match sim.step_process_injected(p, faults, &mut trace, &mut NoopObserver) {
-            Ok(()) => {
-                picks.push(p);
-                steps += 1;
-                stats.steps_replayed += 1;
-                if steps.is_multiple_of(every) {
-                    latest = Checkpoint::take(steps, &picks, &sim, faults, &trace);
-                    stats.checkpoints_taken += 1;
+        let failure = if runnable.is_empty() {
+            sim.deadlock_error()
+        } else if steps >= sim.step_limit {
+            // Would recur on every re-run: not recoverable.
+            return Err(RunError::StepLimit { limit: sim.step_limit });
+        } else {
+            let p = policy.pick(&runnable);
+            match sim.step_process_injected(p, faults, &mut trace, obs) {
+                Ok(()) => {
+                    picks.push(p);
+                    steps += 1;
+                    if steps.is_multiple_of(every) {
+                        latest = Checkpoint::take(steps, &picks, &sim, faults, &trace);
+                        stats.checkpoints_taken += 1;
+                    }
+                    continue;
                 }
-            }
-            Err(e @ RunError::Injected { .. }) => {
-                stats.faults_fired.push(e.clone());
-                stats.restarts += 1;
-                if stats.restarts as usize > cfg.max_restarts {
-                    return Err(e);
-                }
-                if let RunError::Injected { proc, step } = e {
+                Err(RunError::Injected { proc, step }) => {
                     fired.push(Crash { proc, at_step: step });
+                    RunError::Injected { proc, step }
                 }
-                // Restore; every crash that has ever fired stays consumed
-                // (the plan lives outside the checkpointed state).
-                *faults = latest.faults().clone();
-                for c in &fired {
-                    faults.remove_crash(*c);
-                }
-                sim = latest.restore_sim();
-                trace = latest.trace().clone();
-                picks = latest.picks().to_vec();
-                stats.steps_reexecuted += steps - latest.step();
-                steps = latest.step();
+                // Protocol violations etc. are deterministic program
+                // bugs: re-running reproduces them, so don't.
+                Err(e) => return Err(e),
             }
-            Err(e) => return Err(e),
+        };
+        stats.faults_fired.push(failure.clone());
+        stats.restarts += 1;
+        if stats.restarts as usize > cfg.max_restarts {
+            return Err(failure);
         }
+        sim = latest.restore_sim();
+        *faults = latest.faults().clone();
+        for c in &fired {
+            faults.remove_crash(*c);
+        }
+        trace = latest.trace().clone();
+        picks = latest.picks().to_vec();
+        stats.steps_reexecuted += steps - latest.step();
+        steps = latest.step();
     }
-    Ok(Checkpoint::take(steps, &picks, &sim, faults, &trace))
+    Ok(Checkpoint { step: steps, picks, sim, faults: faults.clone(), trace })
 }
 
 /// Crash recovery for the threaded backend — *resuming*, not restarting.
@@ -450,8 +393,9 @@ where
 ///    schedule-independent, so the simulated prefix passes through the
 ///    state the threaded lineage crashed out of);
 /// 2. serializes that cut through the [`Checkpoint::to_json`] wire format
-///    and restores it with [`replay_checkpoint`] — fingerprint-verified,
-///    the same code path the distributed supervisor uses to migrate ranks;
+///    and restores it with [`replay_checkpoint`], fingerprint-verified
+///    (the distributed supervisor migrates ranks differently: through the
+///    binary [`GroupManifest`] of its shadow simulator's latest cut);
 /// 3. seeds a fresh pool with the restored state through the scheduler's
 ///    one launch ([`crate::sched::launch`], the same path a fresh run
 ///    takes from the zero cut) and runs to completion.
@@ -459,8 +403,8 @@ where
 /// Only the pre-crash prefix re-executes, in the cheap simulator — closing
 /// the PR 3 gap where this function restarted the whole threaded run from
 /// scratch. Crashes that fire during the frontier replay itself are
-/// consumed and recovered with mini-checkpoints exactly like
-/// [`run_recovering`]; watchdog-declared deadlocks retry from the latest
+/// consumed and recovered by the same loop as [`run_recovering`], with
+/// mini-checkpoints; watchdog-declared deadlocks retry from the latest
 /// cut. `msg_bytes` is the per-message serializer the wire format needs
 /// (same contract as [`Checkpoint::to_json`]).
 ///
@@ -518,15 +462,22 @@ where
                 if let RunError::Injected { proc, step } = e {
                     faults.remove_crash(Crash { proc, at_step: step });
                     lifecycle.push((FlightKind::Fault, proc, step));
-                    let ck = frontier_checkpoint(
-                        topo.clone(),
-                        make_procs(),
+                    // Rebuild the crash frontier: simulate round-robin to
+                    // the cut where `proc` has completed `step - 1` local
+                    // steps. Crashes planned before it fire here and are
+                    // recovered like any other.
+                    let target = step.saturating_sub(1);
+                    let reexecuted = stats.steps_reexecuted;
+                    let ck = recover_until(
+                        Simulator::new(topo.clone(), make_procs()),
                         &mut faults,
-                        proc,
-                        step.saturating_sub(1),
+                        &mut RoundRobin::new(),
                         cfg,
                         &mut stats,
+                        &mut NoopObserver,
+                        |sim| sim.metrics().procs[proc].steps >= target,
                     )?;
+                    stats.steps_replayed += ck.step() + stats.steps_reexecuted - reexecuted;
                     stats.checkpoints_taken += 1;
                     lifecycle.push((FlightKind::Checkpoint, proc, ck.step()));
                     lifecycle.push((FlightKind::Restore, proc, ck.step()));

@@ -65,8 +65,8 @@ enum Status<M> {
     Ready,
     /// Waiting for a message on the channel; runnable iff queue non-empty.
     BlockedRecv(ChannelId),
-    /// Waiting for space on a bounded channel; holds the undelivered
-    /// message. Only possible for bounded (non-paper-model) channels.
+    /// Waiting for space on a bounded channel or for the channel's send
+    /// frontier to rise; holds the undelivered message.
     BlockedSend(ChannelId, M),
     /// Terminated.
     Halted,
@@ -81,7 +81,8 @@ pub enum ProcState<M> {
     Ready,
     /// A receive is posted on the channel; the delivery has not happened.
     BlockedRecv(ChannelId),
-    /// A send is pending on a full bounded channel; holds the message.
+    /// A send is pending on a full bounded channel or at a send frontier;
+    /// holds the message.
     BlockedSend(ChannelId, M),
     /// The process has halted.
     Halted,
@@ -113,6 +114,9 @@ pub struct Simulator<P: Process> {
     status: Vec<Status<P::Msg>>,
     queues: Vec<VecDeque<P::Msg>>,
     metrics: RunMetrics,
+    /// Per-channel send frontier: a send completes only while the
+    /// channel's sent count is below it (`u64::MAX` = no frontier).
+    frontier: Vec<u64>,
     /// Maximum atomic actions before aborting with [`RunError::StepLimit`].
     pub step_limit: u64,
 }
@@ -137,6 +141,7 @@ where
                 .collect(),
             queues: self.queues.clone(),
             metrics: self.metrics.clone(),
+            frontier: self.frontier.clone(),
             step_limit: self.step_limit,
         }
     }
@@ -160,6 +165,7 @@ impl<P: Process> Simulator<P> {
             status: (0..n_procs).map(|_| Status::Ready).collect(),
             queues: (0..n_chans).map(|_| VecDeque::new()).collect(),
             metrics,
+            frontier: vec![u64::MAX; n_chans],
             step_limit: u64::MAX,
         }
     }
@@ -170,27 +176,35 @@ impl<P: Process> Simulator<P> {
         self
     }
 
-    fn is_runnable(&self, p: ProcId) -> bool {
+    /// Hold every send on `chan` once the channel has carried `frontier`
+    /// messages (`None` lifts the hold). A held writer blocks exactly as on
+    /// a full bounded channel, and raising the frontier later completes
+    /// its send as a step of its own. This lets an external stepper run the
+    /// program no further than an observed execution on that channel.
+    pub fn set_send_frontier(&mut self, chan: ChannelId, frontier: Option<u64>) {
+        self.frontier[chan.0] = frontier.unwrap_or(u64::MAX);
+    }
+
+    /// The messages in flight on `chan`, oldest first.
+    pub fn queue(&self, chan: ChannelId) -> &VecDeque<P::Msg> {
+        &self.queues[chan.0]
+    }
+
+    /// True if a send on `chan` may complete now: the channel has space and
+    /// its sent count is below its frontier.
+    fn can_send(&self, chan: ChannelId) -> bool {
+        self.topo.spec(chan).capacity.is_none_or(|k| self.queues[chan.0].len() < k)
+            && self.metrics.channels[chan.0].messages < self.frontier[chan.0]
+    }
+
+    /// True if process `p` can take a step now.
+    pub fn is_runnable(&self, p: ProcId) -> bool {
         match &self.status[p] {
             Status::Ready => true,
             Status::BlockedRecv(c) => !self.queues[c.0].is_empty(),
-            Status::BlockedSend(c, _) => {
-                let cap = self.topo.spec(*c).capacity;
-                match cap {
-                    None => true, // cannot actually happen: unbounded sends never block
-                    Some(k) => self.queues[c.0].len() < k,
-                }
-            }
+            Status::BlockedSend(c, _) => self.can_send(*c),
             Status::Halted => false,
         }
-    }
-
-    fn runnable_set(&self) -> Vec<ProcId> {
-        (0..self.procs.len()).filter(|&p| self.is_runnable(p)).collect()
-    }
-
-    fn all_halted(&self) -> bool {
-        self.status.iter().all(|s| matches!(s, Status::Halted))
     }
 
     fn blocked_list(&self) -> Vec<(ProcId, ChannelId, BlockKind)> {
@@ -223,12 +237,10 @@ impl<P: Process> Simulator<P> {
             }
             Effect::Send { chan, msg } => {
                 self.topo.check_writer(chan, p)?;
-                let cap = self.topo.spec(chan).capacity;
-                let full = cap.is_some_and(|k| self.queues[chan.0].len() >= k);
                 let bytes = P::msg_size_bytes(&msg);
-                if full {
-                    // Bounded channel (non-paper model): hold the message and
-                    // block until the reader makes space.
+                if !self.can_send(chan) {
+                    // Full bounded channel (non-paper model) or a send
+                    // frontier: hold the message and block until it may go.
                     self.status[p] = Status::BlockedSend(chan, msg);
                     obs.on_event(StepEvent::SendBlocked { proc: p, chan, bytes });
                 } else {
@@ -288,8 +300,8 @@ impl<P: Process> Simulator<P> {
                 self.apply_effect(p, eff, trace, obs)?;
             }
             Status::BlockedSend(chan, msg) => {
-                // Space is now available: complete the pending send. The
-                // process is not resumed this step; the send is the action.
+                // The send may go now: complete it. The process is not
+                // resumed this step; the send is the action.
                 let bytes = P::msg_size_bytes(&msg);
                 self.queues[chan.0].push_back(msg);
                 self.metrics.on_send(chan, bytes, self.queues[chan.0].len());
@@ -306,7 +318,7 @@ impl<P: Process> Simulator<P> {
     /// Public for interactive exploration: exhaustive interleaving
     /// enumeration branches on exactly this set.
     pub fn runnable(&self) -> Vec<ProcId> {
-        self.runnable_set()
+        (0..self.procs.len()).filter(|&p| self.is_runnable(p)).collect()
     }
 
     /// [`Simulator::runnable`] under a fault plan: processes whose pending
@@ -318,7 +330,7 @@ impl<P: Process> Simulator<P> {
     /// the stalls are released for this step and the unfiltered set is
     /// returned.
     pub fn runnable_under(&self, faults: &FaultPlan) -> Vec<ProcId> {
-        let base = self.runnable_set();
+        let base = self.runnable();
         let filtered: Vec<ProcId> = base
             .iter()
             .copied()
@@ -336,7 +348,7 @@ impl<P: Process> Simulator<P> {
 
     /// True when every process has halted (the interleaving is maximal).
     pub fn is_done(&self) -> bool {
-        self.all_halted()
+        self.status.iter().all(|s| matches!(s, Status::Halted))
     }
 
     /// Take one atomic step for runnable process `p`, appending its event to
@@ -576,10 +588,10 @@ impl<P: Process> Simulator<P> {
         let mut picks = Vec::new();
         let mut steps: u64 = 0;
         let mut max_queued = 0usize;
-        while !self.all_halted() {
+        while !self.is_done() {
             let runnable = self.runnable_under(faults);
             if runnable.is_empty() {
-                return Err(waitgraph::deadlock_error(&self.topo, &self.blocked_list()));
+                return Err(self.deadlock_error());
             }
             if steps >= self.step_limit {
                 return Err(RunError::StepLimit { limit: self.step_limit });
@@ -1075,6 +1087,46 @@ mod tests {
         let (topo, procs) = pair(1);
         let clean = run_simulated(topo, procs, &mut RoundRobin::new()).unwrap();
         assert!(out.same_final_state(&clean));
+    }
+
+    #[test]
+    fn send_frontier_holds_the_writer_until_raised() {
+        use crate::observer::{RecordingObserver, StepEvent};
+        let (topo, procs) = pair(3);
+        let c = ChannelId(0);
+        let mut sim = Simulator::new(topo, procs);
+        let mut trace = Trace::new();
+        sim.set_send_frontier(c, Some(1));
+        let mut rec = RecordingObserver::default();
+        sim.step_process_with(0, &mut trace, &mut rec).unwrap();
+        sim.step_process_with(0, &mut trace, &mut rec).unwrap();
+        assert_eq!(
+            rec.events,
+            vec![
+                StepEvent::Sent { proc: 0, chan: c, bytes: 0 },
+                StepEvent::SendBlocked { proc: 0, chan: c, bytes: 0 },
+            ]
+        );
+        assert!(!sim.is_runnable(0), "a writer held at its frontier is blocked");
+        assert_eq!(sim.queue(c).len(), 1);
+
+        // Raising the frontier completes the held send as a step of its
+        // own: the writer is not resumed (it would send again).
+        sim.set_send_frontier(c, Some(2));
+        assert!(sim.is_runnable(0));
+        let before = sim.snapshots_now()[0].clone();
+        let mut rec = RecordingObserver::default();
+        sim.step_process_with(0, &mut trace, &mut rec).unwrap();
+        assert_eq!(rec.events, vec![StepEvent::Sent { proc: 0, chan: c, bytes: 0 }]);
+        assert_eq!(sim.snapshots_now()[0], before);
+        assert_eq!(sim.queue(c).iter().copied().collect::<Vec<_>>(), vec![0, 1]);
+
+        // Lifting it runs on to the final state of an unheld run.
+        sim.set_send_frontier(c, None);
+        let held = sim.run(&mut RoundRobin::new()).unwrap();
+        let (topo, procs) = pair(3);
+        let free = run_simulated(topo, procs, &mut RoundRobin::new()).unwrap();
+        assert!(held.same_final_state(&free));
     }
 
     #[test]
