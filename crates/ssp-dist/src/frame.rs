@@ -91,6 +91,11 @@ pub enum FrameType {
     /// (peer unreachable); the supervisor must log **and** forward it.
     /// Same payload layout as [`Data`].
     DataRelay = 16,
+    /// Supervisor → worker, before any ASSIGN: arm a chaos kill. Payload:
+    /// `[n: u64 le]`; the worker stops at the `n`-th cross-group message
+    /// it sends or delivers. Worker → supervisor, empty payload: "stopped
+    /// there" — the supervisor SIGKILLs it on receipt.
+    Chaos = 17,
 }
 
 impl FrameType {
@@ -113,6 +118,7 @@ impl FrameType {
             14 => FrameType::DataShm,
             15 => FrameType::ShmAck,
             16 => FrameType::DataRelay,
+            17 => FrameType::Chaos,
             _ => return None,
         })
     }

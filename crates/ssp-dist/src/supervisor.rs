@@ -17,10 +17,11 @@
 //!   membership change. Workers then deliver to each other directly —
 //!   worker↔worker sockets, or shared-memory rings with socket doorbells —
 //!   and send the supervisor a `DATA` **mirror** of every message, which
-//!   is logged but *not forwarded*. Only `DATA_RELAY` frames (a worker's
-//!   direct delivery failed) are logged *and* forwarded; the
-//!   steady-state star-routed frame count is ~0, measured by
-//!   [`DistStats::star_frames`].
+//!   is logged but *not forwarded* — unless its reader's group was
+//!   created by a migration (a late mirror may be that message's only
+//!   way there). `DATA_RELAY` frames (a worker's direct delivery failed)
+//!   are logged *and* forwarded; the steady-state star-routed frame
+//!   count is ~0, measured by [`DistStats::star_frames`].
 //! * In [`TransportMode::Star`] every `DATA` frame is forwarded exactly as
 //!   in PR 7 — the fallback mode, still exercised by CI.
 //!
@@ -127,13 +128,18 @@ impl TransportMode {
     }
 }
 
-/// Fault-injection knob: SIGKILL a worker after the supervisor has seen
-/// a given number of DATA frames — a mid-run, non-graceful death.
+/// Fault-injection knob: SIGKILL a worker mid-run — a non-graceful death.
+/// The victim is armed before its ASSIGN, stops at its `after_frames`-th
+/// cross-group message (sent or delivered; with two workers that is every
+/// DATA frame of the run) and reports it; the supervisor SIGKILLs it on
+/// that report. So the kill always lands while the victim still hosts an
+/// unfinished group, on every transport — a kill keyed on supervisor-seen
+/// mirrors could trail a direct-plane victim past its last step.
 #[derive(Debug, Clone, Copy)]
 pub struct ChaosKill {
     /// Index of the worker to kill.
     pub worker: usize,
-    /// Kill once this many DATA frames have been seen.
+    /// Kill at the victim's this-many-th cross-group message.
     pub after_frames: u64,
 }
 
@@ -289,6 +295,9 @@ struct GroupRec {
     ranks: Vec<usize>,
     worker: usize,
     done: bool,
+    /// Created by a migration: log-only mirrors toward it are forwarded
+    /// too (see [`Supervisor::route_data`]).
+    migrated: bool,
 }
 
 /// One channel's message log, indexed by absolute sequence number.
@@ -364,7 +373,6 @@ struct Supervisor<'a> {
     snapshots: Vec<Option<Vec<u8>>>,
     metrics: RunMetrics,
     stats: DistStats,
-    chaos_pending: Option<ChaosKill>,
     /// Merged cross-process flight lanes (empty when recording is off).
     flight_log: FlightLog,
     /// TRACE frames still owed by live workers: one per recorder-enabled
@@ -442,7 +450,6 @@ pub fn run_distributed(
         done_ranks: 0,
         snapshots: vec![None; n],
         stats: DistStats::default(),
-        chaos_pending: cfg.chaos_kill,
         flight_log: FlightLog::default(),
         traces_pending: 0,
     };
@@ -487,6 +494,13 @@ impl Supervisor<'_> {
                 self.placement[r] = w;
             }
             plan.push((w, ranks));
+        }
+        if let Some(ck) = self.cfg.chaos_kill.filter(|ck| ck.worker < self.slots.len()) {
+            // Armed ahead of the victim's ASSIGN on the same FIFO socket.
+            let arm = Frame::new(FrameType::Chaos, ck.after_frames.to_le_bytes().to_vec());
+            if self.send_to(ck.worker, &arm).is_err() {
+                self.worker_dead(ck.worker, deadline)?;
+            }
         }
         for (w, ranks) in plan {
             self.assign_group(w, ranks, false)?;
@@ -798,7 +812,7 @@ impl Supervisor<'_> {
             self.rank_group[r] = gid;
             self.placement[r] = target;
         }
-        self.groups.push(GroupRec { ranks, worker: target, done: false });
+        self.groups.push(GroupRec { ranks, worker: target, done: false, migrated: migration });
         let deadline = Instant::now() + self.cfg.timeout;
 
         // Replay baseline per channel: the cut's consumed frontier when
@@ -993,6 +1007,8 @@ impl Supervisor<'_> {
             FrameType::Trace => self.handle_trace(w, &f.payload),
             FrameType::Pong => self.handle_pong(w, &f.payload),
             FrameType::Bye => self.fold_bye(&f.payload),
+            // An armed victim stopped at its chaos mark: SIGKILL it there.
+            FrameType::Chaos => self.worker_dead(w, deadline),
             FrameType::Error => Err(proto_err(format!(
                 "worker {w} failed: {}",
                 String::from_utf8_lossy(&f.payload)
@@ -1054,7 +1070,12 @@ impl Supervisor<'_> {
     /// * past the head — a protocol violation (per-channel FIFO mirrors
     ///   cannot skip).
     ///
-    /// Forwarding: every frame in star mode; only relays in direct mode.
+    /// Forwarding: every frame in star mode. In direct mode, relays, and
+    /// mirrors toward a group a migration created: a writer's direct send
+    /// can land in the socket or ring of a reader host that is being
+    /// killed, and if that mirror reaches the log only after the
+    /// migration's replay, forwarding is its one way to the reader's new
+    /// home (the reader's gate drops it if it also arrived directly).
     fn route_data(
         &mut self,
         from: usize,
@@ -1067,19 +1088,6 @@ impl Supervisor<'_> {
             return Err(proto_err(format!("worker {from} sent DATA for channel {chan}")));
         }
         self.stats.frames_routed += 1;
-
-        if let Some(ck) = self.chaos_pending {
-            if self.stats.frames_routed >= ck.after_frames {
-                self.chaos_pending = None;
-                if let Some(child) =
-                    self.slots.get_mut(ck.worker).and_then(|s| s.child.as_mut())
-                {
-                    // SIGKILL — no cleanup, no goodbye; the reader thread's
-                    // EOF event drives the migration.
-                    let _ = child.kill();
-                }
-            }
-        }
 
         let log = &mut self.log[chan];
         if seq < log.base {
@@ -1119,10 +1127,10 @@ impl Supervisor<'_> {
             }
         }
 
-        if self.cfg.transport == TransportMode::Star || relay {
+        let reader = &self.groups[self.rank_group[self.topo.specs()[chan].reader]];
+        if self.cfg.transport == TransportMode::Star || relay || reader.migrated {
             self.stats.star_frames += 1;
-            let reader = self.topo.specs()[chan].reader;
-            let dest = self.groups[self.rank_group[reader]].worker;
+            let dest = reader.worker;
             if self.send_to(dest, &Frame::new(FrameType::Data, payload.to_vec())).is_err() {
                 // The frame just logged is part of the history
                 // assign_group replays, so migration both reroutes and

@@ -222,6 +222,10 @@ struct Shared {
     shm_bytes: AtomicU64,
     /// DATA payload bytes mirrored toward the supervisor.
     bytes_routed: AtomicU64,
+    /// Cross-group messages sent or delivered so far, and the count at
+    /// which an armed chaos kill stops this worker (`u64::MAX` = unarmed).
+    moved: AtomicU64,
+    stop_at: AtomicU64,
 }
 
 /// Run a worker against the supervisor socket at `path`, identifying as
@@ -267,6 +271,8 @@ pub fn worker_main(
         shm_frames: AtomicU64::new(0),
         shm_bytes: AtomicU64::new(0),
         bytes_routed: AtomicU64::new(0),
+        moved: AtomicU64::new(0),
+        stop_at: AtomicU64::new(u64::MAX),
     });
 
     {
@@ -314,12 +320,19 @@ pub fn worker_main(
             }
             FrameType::Data => {
                 let r = decode_data(&frame.payload).and_then(|(chan, seq, bytes)| {
-                    wlock(&shared.router).deliver(chan, seq, bytes.to_vec(), FlightKind::DataStar)
+                    shared.deliver(chan, seq, bytes.to_vec(), FlightKind::DataStar)
                 });
                 if let Err(e) = r {
                     report(&write_half, &e);
                 }
             }
+            FrameType::Chaos => match <[u8; 8]>::try_from(&frame.payload[..]) {
+                Ok(n) => shared.stop_at.store(u64::from_le_bytes(n), Ordering::Release),
+                Err(_) => report(
+                    &write_half,
+                    &RunError::Protocol { proc: 0, detail: "malformed CHAOS frame".into() },
+                ),
+            },
             FrameType::Resume => match decode_resume(&frame.payload) {
                 Ok((group, manifest)) => {
                     pending_resume.insert(group, manifest.to_vec());
@@ -415,6 +428,11 @@ fn serve_peer_conn(shared: &Arc<Shared>, mut stream: PeerStream) {
     // The peer's ring toward us, opened lazily at the first doorbell (the
     // dialer creates the file before sending any).
     let mut ring: Option<ShmReceiver> = None;
+    // Cleared by the first failed ack: the dialer is gone, but keep
+    // reading. Doorbells it rang before dying are still buffered here, and
+    // their mirrors may already be logged — the supervisor's cuts count
+    // them as delivered, so dropping them would strand their readers.
+    let mut acking = true;
     loop {
         let frame = match read_frame(&mut stream) {
             Ok(f) => f,
@@ -427,12 +445,7 @@ fn serve_peer_conn(shared: &Arc<Shared>, mut stream: PeerStream) {
                 let Ok((chan, seq, bytes)) = decode_data(&frame.payload) else {
                     return stream.close();
                 };
-                let r = wlock(&shared.router).deliver(
-                    chan,
-                    seq,
-                    bytes.to_vec(),
-                    FlightKind::DataDirect,
-                );
+                let r = shared.deliver(chan, seq, bytes.to_vec(), FlightKind::DataDirect);
                 if let Err(e) = r {
                     report(&shared.sup, &e);
                     return stream.close();
@@ -457,16 +470,14 @@ fn serve_peer_conn(shared: &Arc<Shared>, mut stream: PeerStream) {
                     // sees the break and relays via the supervisor.
                     Err(_) => return stream.close(),
                 };
-                let r =
-                    wlock(&shared.router).deliver(chan, seq, bytes, FlightKind::DataShm);
+                let r = shared.deliver(chan, seq, bytes, FlightKind::DataShm);
                 if let Err(e) = r {
                     report(&shared.sup, &e);
                     return stream.close();
                 }
                 let ack = Frame::new(FrameType::ShmAck, encode_shm_ack(ack));
-                if write_frame(&mut stream, &ack).and_then(|()| stream.flush()).is_err() {
-                    return stream.close();
-                }
+                acking = acking
+                    && write_frame(&mut stream, &ack).and_then(|()| stream.flush()).is_ok();
             }
             _ => return stream.close(),
         }
@@ -702,7 +713,9 @@ fn handle_assign(
         sink_shared.bytes_routed.fetch_add(bytes.len() as u64, Ordering::Relaxed);
         send(&sink_shared.sup, &Frame::new(mirror, encode_data(chan, seq, &bytes))).map_err(
             |e| RunError::Protocol { proc: 0, detail: format!("DATA write failed: {e}") },
-        )
+        )?;
+        sink_shared.count_moved();
+        Ok(())
     });
 
     // The launch validates the manifest against the topology before the
@@ -756,6 +769,38 @@ fn handle_assign(
 }
 
 impl Shared {
+    /// Deliver one inbound cross-group message through the router, then
+    /// count it (see [`Shared::count_moved`]).
+    fn deliver(
+        &self,
+        chan: usize,
+        seq: u64,
+        bytes: Vec<u8>,
+        kind: FlightKind,
+    ) -> Result<(), RunError> {
+        wlock(&self.router).deliver(chan, seq, bytes, kind)?;
+        self.count_moved();
+        Ok(())
+    }
+
+    /// Count one cross-group message sent or delivered. Once an armed
+    /// chaos kill's count is reached, the calling thread tells the
+    /// supervisor (first time only) and stops there for good: the
+    /// supervisor SIGKILLs this process on receipt, so the kill lands
+    /// while the group is still unfinished, whatever the transport.
+    fn count_moved(&self) {
+        let n = self.moved.fetch_add(1, Ordering::AcqRel) + 1;
+        let stop_at = self.stop_at.load(Ordering::Acquire);
+        if n >= stop_at {
+            if n == stop_at {
+                let _ = send(&self.sup, &Frame::new(FrameType::Chaos, Vec::new()));
+            }
+            loop {
+                thread::park();
+            }
+        }
+    }
+
     /// Take the next outbound ordinal for `chan`, guarding the index (the
     /// sink is driven by scheduler-produced channel ids, but defensively).
     fn bump_seq(&self, seqs: &mut [u64], chan: usize) -> Result<u64, RunError> {
@@ -811,6 +856,8 @@ mod tests {
             shm_frames: AtomicU64::new(0),
             shm_bytes: AtomicU64::new(0),
             bytes_routed: AtomicU64::new(0),
+            moved: AtomicU64::new(0),
+            stop_at: AtomicU64::new(u64::MAX),
         });
         (shared, spy)
     }
@@ -923,6 +970,29 @@ mod tests {
         );
         let hello = frame_bytes(FrameType::PeerHello, encode_peer_hello(1, 0));
         assert_rejected(&shared, spy, &[hello, frame_bytes(FrameType::DataShm, bell)]);
+    }
+
+    #[test]
+    fn doorbells_rung_before_the_dialer_died_are_still_delivered() {
+        // The dialer rings two doorbells and dies: acking the first fails,
+        // yet the second, already buffered, must still reach the router —
+        // its mirror may be logged, so a cut can count it as consumed.
+        let (shared, _spy) = test_shared(0, 0);
+        let mut tx = ShmSender::create(&shared.dir.join("shm-1-0.ring"), 4096).unwrap();
+        let mut script = frame_bytes(FrameType::PeerHello, encode_peer_hello(1, 0));
+        for (seq, payload) in [b"first".as_slice(), b"second".as_slice()].iter().enumerate() {
+            let off = tx.push(payload).unwrap().unwrap();
+            let len = payload.len() as u32;
+            let bell = encode_shm_doorbell(0, seq as u64, off, len, fnv1a_64(payload));
+            script.extend(frame_bytes(FrameType::DataShm, bell));
+        }
+        let (mut ours, theirs) = UnixStream::pair().unwrap();
+        ours.write_all(&script).unwrap();
+        drop(ours);
+        serve_peer_conn(&shared, PeerStream::Unix(theirs));
+        let router = wlock(&shared.router);
+        let stashed: Vec<u64> = router.gates[&0].stash.keys().copied().collect();
+        assert_eq!(stashed, vec![0, 1], "both buffered doorbells must be delivered");
     }
 
     #[test]

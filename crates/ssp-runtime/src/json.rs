@@ -8,10 +8,11 @@
 //! while staying within the workspace's zero-external-dependency rule.
 //!
 //! The tree can also be serialized back out ([`JsonValue::to_json`], also
-//! the `Display` impl): this is the wire format of the recovery layer's
-//! checkpoint manifests ([`crate::recover::Checkpoint`]), which must survive
+//! the `Display` impl): metrics dumps, flight logs and the distributed
+//! backend's JSON protocol payloads are written this way, and must survive
 //! a round trip bit-for-bit — `parse(v.to_json()) == v` for every tree whose
-//! numbers are finite.
+//! numbers are finite. (Checkpoint cuts do not travel as JSON: their one
+//! wire form is the binary [`crate::recover::GroupManifest`].)
 
 use std::collections::BTreeMap;
 use std::fmt;

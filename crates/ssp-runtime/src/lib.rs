@@ -82,8 +82,8 @@ pub use pool::BufPool;
 pub use proc::{Effect, ProcId, Process};
 pub use spsc::{OverwriteRing, ParkSlot, SpscRing};
 pub use recover::{
-    fnv1a_64, replay_checkpoint, run_recovering, run_recovering_observed,
-    run_threaded_recovering, Checkpoint, GroupManifest, ManifestRank, ManifestStatus,
+    fnv1a_64, run_recovering, run_recovering_observed, run_threaded_recovering,
+    GroupManifest, ManifestRank, ManifestStatus,
     RecoveryConfig, RecoveryOutcome, RecoveryStats,
 };
 pub use sched::{launch, Gateway, LiveTelemetry, PartialOutcome, PartialRun, PartialSeed};

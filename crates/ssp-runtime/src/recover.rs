@@ -11,15 +11,13 @@
 //!
 //! Three pieces:
 //!
-//! * [`Checkpoint`] — a consistent snapshot of the whole system (process
-//!   states, statuses, in-flight channel contents, the executed pick
-//!   prefix, and the fault plan's bookkeeping), taken every *K* steps by
-//!   the supervisor. In memory it is a [`Simulator`] clone (fast restore);
-//!   on the wire it is a JSON manifest ([`Checkpoint::to_json`]) carrying
-//!   the *data plane* — the code plane (process closures) is rebuilt from
-//!   source and re-validated against the manifest's fingerprint by
-//!   [`replay_checkpoint`], which replays the pick prefix through a fresh
-//!   simulator. Determinism is what makes that replay sound.
+//! * A checkpoint — a consistent cut of the whole system, taken every *K*
+//!   steps by the supervisor. In process a cut *is* a [`Simulator`] value
+//!   (process states, statuses, in-flight channel contents) plus the fault
+//!   plan's bookkeeping and the length of the pick prefix that produced it;
+//!   restoring is a clone. The one wire form of a cut is the
+//!   fingerprint-sealed binary [`GroupManifest`] the distributed backend
+//!   migrates ranks with.
 //! * [`run_recovering`] — the supervisor: steps the simulator under a
 //!   [`FaultPlan`], checkpoints every `checkpoint_every` steps, and on an
 //!   injected crash (or a deadlock) restores the latest checkpoint and
@@ -30,14 +28,12 @@
 //!   cannot be snapshotted mid-flight, so the supervisor borrows the
 //!   simulator as its checkpointing device: it re-derives the crash
 //!   frontier by simulation (process-local step ordinals are
-//!   schedule-independent), round-trips the cut through the JSON wire
-//!   format, and seeds a fresh pool from the restored state — resuming,
-//!   not restarting.
+//!   schedule-independent) and seeds a fresh pool straight from that cut —
+//!   resuming, not restarting.
 
 use crate::chan::Topology;
 use crate::error::RunError;
 use crate::fault::{Crash, FaultPlan};
-use crate::json::{parse, JsonValue};
 use crate::observer::{NoopObserver, StepObserver};
 use crate::policy::{RoundRobin, SchedulePolicy};
 use crate::proc::{ProcId, Process};
@@ -106,152 +102,15 @@ pub struct RecoveryOutcome {
     pub stats: RecoveryStats,
 }
 
-/// A consistent snapshot of a run in progress: everything needed to resume
-/// as if the steps after it never happened.
-pub struct Checkpoint<P: Process + Clone>
-where
-    P::Msg: Clone,
-{
+/// A consistent cut of a run in progress: everything needed to resume as
+/// if the steps after it never happened. The live lineage always extends
+/// the latest cut's pick prefix and trace, so the cut keeps only their
+/// lengths; a restore truncates them.
+struct Checkpoint<P: Process> {
     step: u64,
-    picks: Vec<ProcId>,
+    trace_len: usize,
     sim: Simulator<P>,
     faults: FaultPlan,
-    trace: Trace,
-}
-
-impl<P: Process + Clone> Checkpoint<P>
-where
-    P::Msg: Clone,
-{
-    /// Snapshot the current state of a run: `picks` is the pick prefix that
-    /// produced `sim` (length `step`), `faults` the plan with its
-    /// bookkeeping as of now.
-    pub fn take(
-        step: u64,
-        picks: &[ProcId],
-        sim: &Simulator<P>,
-        faults: &FaultPlan,
-        trace: &Trace,
-    ) -> Self {
-        Checkpoint {
-            step,
-            picks: picks.to_vec(),
-            sim: sim.clone(),
-            faults: faults.clone(),
-            trace: trace.clone(),
-        }
-    }
-
-    /// The global step count this checkpoint was taken at.
-    pub fn step(&self) -> u64 {
-        self.step
-    }
-
-    /// The pick prefix that reproduces this checkpoint's state from the
-    /// initial state (feed to [`crate::policy::FixedSchedule`] or
-    /// [`replay_checkpoint`]).
-    pub fn picks(&self) -> &[ProcId] {
-        &self.picks
-    }
-
-    /// Fast in-memory restore: a clone of the checkpointed simulator.
-    pub fn restore_sim(&self) -> Simulator<P> {
-        self.sim.clone()
-    }
-
-    /// The fault plan as of the checkpoint (bookkeeping included).
-    pub fn faults(&self) -> &FaultPlan {
-        &self.faults
-    }
-
-    /// The trace prefix as of the checkpoint.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// The wire form: a JSON manifest carrying the schedule prefix and the
-    /// full data plane ([`Simulator::state_manifest`]) — statuses, queued
-    /// messages, snapshots, and the state fingerprint the replay restore
-    /// path re-validates against.
-    pub fn manifest(&self, msg_bytes: impl Fn(&P::Msg) -> Vec<u8>) -> JsonValue {
-        use std::collections::BTreeMap;
-        let mut top = BTreeMap::new();
-        top.insert("version".to_string(), JsonValue::Num(1.0));
-        top.insert("step".to_string(), JsonValue::Num(self.step as f64));
-        top.insert(
-            "picks".to_string(),
-            JsonValue::Arr(self.picks.iter().map(|&p| JsonValue::Num(p as f64)).collect()),
-        );
-        top.insert("state".to_string(), self.sim.state_manifest(msg_bytes));
-        JsonValue::Obj(top)
-    }
-
-    /// [`Checkpoint::manifest`] serialized as a JSON document.
-    pub fn to_json(&self, msg_bytes: impl Fn(&P::Msg) -> Vec<u8>) -> String {
-        self.manifest(msg_bytes).to_json()
-    }
-}
-
-fn corrupt(detail: impl Into<String>) -> RunError {
-    RunError::Protocol { proc: 0, detail: detail.into() }
-}
-
-/// Restore a checkpoint from its JSON manifest by *replay*: rebuild the
-/// initial processes from source (`procs` must be a fresh initial
-/// collection for `topo`), re-execute the manifest's pick prefix, and
-/// verify the resulting state's fingerprint bitwise against the manifest.
-///
-/// This is the fully serializable restore path: only data crosses the wire;
-/// the code plane is reconstructed and *proven* equivalent (determinism,
-/// Theorem 1) rather than trusted. Returns the positioned simulator and the
-/// replayed pick prefix. A corrupt or mismatched manifest yields
-/// [`RunError::Protocol`].
-pub fn replay_checkpoint<P: Process>(
-    json_text: &str,
-    topo: Topology,
-    procs: Vec<P>,
-    msg_bytes: impl Fn(&P::Msg) -> Vec<u8>,
-) -> Result<(Simulator<P>, Vec<ProcId>), RunError> {
-    let manifest = parse(json_text).map_err(|e| corrupt(format!("checkpoint manifest: {e}")))?;
-    let picks: Vec<ProcId> = manifest
-        .get("picks")
-        .and_then(JsonValue::as_arr)
-        .ok_or_else(|| corrupt("checkpoint manifest: missing picks"))?
-        .iter()
-        .map(|v| v.as_usize().ok_or_else(|| corrupt("checkpoint manifest: bad pick")))
-        .collect::<Result<_, _>>()?;
-    let want: Vec<u8> = manifest
-        .get("state")
-        .and_then(|s| s.get("fingerprint"))
-        .and_then(JsonValue::as_arr)
-        .ok_or_else(|| corrupt("checkpoint manifest: missing fingerprint"))?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .filter(|&b| b < 256)
-                .map(|b| b as u8)
-                .ok_or_else(|| corrupt("checkpoint manifest: bad fingerprint byte"))
-        })
-        .collect::<Result<_, _>>()?;
-
-    let mut sim = Simulator::new(topo, procs);
-    let mut trace = Trace::new();
-    for (i, &p) in picks.iter().enumerate() {
-        if !sim.runnable().contains(&p) {
-            return Err(corrupt(format!(
-                "checkpoint replay: pick #{i} names non-runnable process {p}"
-            )));
-        }
-        sim.step_process(p, &mut trace)?;
-    }
-    let got = sim.state_fingerprint(&msg_bytes);
-    if got != want {
-        return Err(corrupt(
-            "checkpoint replay: state fingerprint mismatch (wrong initial processes, \
-             wrong topology, or a corrupt manifest)",
-        ));
-    }
-    Ok((sim, picks))
 }
 
 /// Run `procs` over `topo` under `policy` with `faults` injected,
@@ -294,13 +153,14 @@ where
 {
     let mut stats = RecoveryStats::default();
     let sim = Simulator::new(topo, procs);
-    let end = recover_until(sim, &mut faults, policy, cfg, &mut stats, obs, |_| false)?;
+    let (sim, picks, trace) =
+        recover_until(sim, &mut faults, policy, cfg, &mut stats, obs, |_| false)?;
     Ok(RecoveryOutcome {
-        snapshots: end.sim.snapshots_now(),
-        picks: end.picks,
-        steps: end.step,
-        metrics: end.sim.metrics().clone(),
-        trace: end.trace,
+        snapshots: sim.snapshots_now(),
+        steps: picks.len() as u64,
+        picks,
+        metrics: sim.metrics().clone(),
+        trace,
         stats,
     })
 }
@@ -309,8 +169,8 @@ where
 /// until every process halts or `stop` holds, checkpointing every
 /// [`RecoveryConfig::checkpoint_every`] steps. A crash that fires (or a
 /// deadlock) restores the latest checkpoint and re-runs, up to
-/// [`RecoveryConfig::max_restarts`] times. Returns the final lineage as a
-/// checkpoint.
+/// [`RecoveryConfig::max_restarts`] times. Returns the final lineage: its
+/// simulator, pick sequence and trace.
 ///
 /// The plan rolls back with each restore, except that every crash that has
 /// *ever* fired stays consumed — else the same proc-local trigger would
@@ -323,7 +183,7 @@ fn recover_until<P>(
     stats: &mut RecoveryStats,
     obs: &mut dyn StepObserver,
     stop: impl Fn(&Simulator<P>) -> bool,
-) -> Result<Checkpoint<P>, RunError>
+) -> Result<(Simulator<P>, Vec<ProcId>, Trace), RunError>
 where
     P: Process + Clone,
     P::Msg: Clone,
@@ -331,11 +191,11 @@ where
     let every = cfg.checkpoint_every.max(1);
     let mut trace = Trace::new();
     let mut picks: Vec<ProcId> = Vec::new();
-    let mut steps: u64 = 0;
     let mut fired: Vec<Crash> = Vec::new();
-    let mut latest = Checkpoint::take(0, &picks, &sim, faults, &trace);
+    let mut latest = Checkpoint { step: 0, trace_len: 0, sim: sim.clone(), faults: faults.clone() };
 
     while !sim.is_done() && !stop(&sim) {
+        let steps = picks.len() as u64;
         let runnable = sim.runnable_under(faults);
         let failure = if runnable.is_empty() {
             sim.deadlock_error()
@@ -347,9 +207,13 @@ where
             match sim.step_process_injected(p, faults, &mut trace, obs) {
                 Ok(()) => {
                     picks.push(p);
-                    steps += 1;
-                    if steps.is_multiple_of(every) {
-                        latest = Checkpoint::take(steps, &picks, &sim, faults, &trace);
+                    if (steps + 1).is_multiple_of(every) {
+                        latest = Checkpoint {
+                            step: steps + 1,
+                            trace_len: trace.len(),
+                            sim: sim.clone(),
+                            faults: faults.clone(),
+                        };
                         stats.checkpoints_taken += 1;
                     }
                     continue;
@@ -368,17 +232,16 @@ where
         if stats.restarts as usize > cfg.max_restarts {
             return Err(failure);
         }
-        sim = latest.restore_sim();
-        *faults = latest.faults().clone();
+        sim = latest.sim.clone();
+        *faults = latest.faults.clone();
         for c in &fired {
             faults.remove_crash(*c);
         }
-        trace = latest.trace().clone();
-        picks = latest.picks().to_vec();
-        stats.steps_reexecuted += steps - latest.step();
-        steps = latest.step();
+        trace.truncate(latest.trace_len);
+        picks.truncate(latest.step as usize);
+        stats.steps_reexecuted += steps - latest.step;
     }
-    Ok(Checkpoint { step: steps, picks, sim, faults: faults.clone(), trace })
+    Ok((sim, picks, trace))
 }
 
 /// Crash recovery for the threaded backend — *resuming*, not restarting.
@@ -392,21 +255,18 @@ where
 ///    (sound by Theorem 1: process-local step ordinals are
 ///    schedule-independent, so the simulated prefix passes through the
 ///    state the threaded lineage crashed out of);
-/// 2. serializes that cut through the [`Checkpoint::to_json`] wire format
-///    and restores it with [`replay_checkpoint`], fingerprint-verified
-///    (the distributed supervisor migrates ranks differently: through the
-///    binary [`GroupManifest`] of its shadow simulator's latest cut);
-/// 3. seeds a fresh pool with the restored state through the scheduler's
+/// 2. seeds a fresh pool straight from that cut through the scheduler's
 ///    one launch ([`crate::sched::launch`], the same path a fresh run
-///    takes from the zero cut) and runs to completion.
+///    takes from the zero cut) and runs to completion. The cut never
+///    leaves the process, so it is the [`Simulator`] value itself (the
+///    distributed supervisor, whose cuts do cross a process boundary,
+///    migrates ranks through the binary [`GroupManifest`]).
 ///
-/// Only the pre-crash prefix re-executes, in the cheap simulator — closing
-/// the PR 3 gap where this function restarted the whole threaded run from
-/// scratch. Crashes that fire during the frontier replay itself are
-/// consumed and recovered by the same loop as [`run_recovering`], with
-/// mini-checkpoints; watchdog-declared deadlocks retry from the latest
-/// cut. `msg_bytes` is the per-message serializer the wire format needs
-/// (same contract as [`Checkpoint::to_json`]).
+/// Only the pre-crash prefix re-executes, once, in the cheap simulator;
+/// the threaded run itself never restarts from scratch. Crashes that fire
+/// during the frontier simulation itself are consumed and recovered by the same loop as
+/// [`run_recovering`], with mini-checkpoints; watchdog-declared deadlocks
+/// retry from the latest cut.
 ///
 /// Step-ordinal caveat: for paper-model (unbounded) channels the two
 /// backends count local steps identically. A *bounded* channel counts a
@@ -419,7 +279,6 @@ pub fn run_threaded_recovering<P, F>(
     faults: FaultPlan,
     config: ThreadedConfig,
     cfg: RecoveryConfig,
-    msg_bytes: impl Fn(&P::Msg) -> Vec<u8>,
 ) -> Result<(ThreadedOutcome, RecoveryStats), RunError>
 where
     P: Process + Clone + 'static,
@@ -428,21 +287,17 @@ where
 {
     let mut faults = faults;
     let mut stats = RecoveryStats::default();
-    // JSON manifest of the cut to resume from; none until the first crash.
-    let mut resume_json: Option<String> = None;
+    // The cut to resume from; none until the first crash.
+    let mut resume: Option<Simulator<P>> = None;
     // Cross-leg lifecycle marks `(kind, rank, bytes)`; each leg's flight
     // recorder (if any) starts a fresh epoch, so these are appended to the
     // *final* leg's log as a `lifecycle` lane ordered by ordinal, not by
     // wall clock.
     let mut lifecycle: Vec<(FlightKind, ProcId, u64)> = Vec::new();
     loop {
-        let attempt = match &resume_json {
+        let attempt = match &resume {
             None => run_threaded_faulted(topo, make_procs(), config, &faults),
-            Some(json) => {
-                let (sim, _) =
-                    replay_checkpoint(json, topo.clone(), make_procs(), &msg_bytes)?;
-                run_whole(topo, sim.into_state().into(), config, &faults)
-            }
+            Some(cut) => run_whole(topo, cut.clone().into_state().into(), config, &faults),
         };
         match attempt {
             Ok(mut out) => {
@@ -468,7 +323,7 @@ where
                     // recovered like any other.
                     let target = step.saturating_sub(1);
                     let reexecuted = stats.steps_reexecuted;
-                    let ck = recover_until(
+                    let (cut, picks, _) = recover_until(
                         Simulator::new(topo.clone(), make_procs()),
                         &mut faults,
                         &mut RoundRobin::new(),
@@ -477,11 +332,12 @@ where
                         &mut NoopObserver,
                         |sim| sim.metrics().procs[proc].steps >= target,
                     )?;
-                    stats.steps_replayed += ck.step() + stats.steps_reexecuted - reexecuted;
+                    let at = picks.len() as u64;
+                    stats.steps_replayed += at + stats.steps_reexecuted - reexecuted;
                     stats.checkpoints_taken += 1;
-                    lifecycle.push((FlightKind::Checkpoint, proc, ck.step()));
-                    lifecycle.push((FlightKind::Restore, proc, ck.step()));
-                    resume_json = Some(ck.to_json(&msg_bytes));
+                    lifecycle.push((FlightKind::Checkpoint, proc, at));
+                    lifecycle.push((FlightKind::Restore, proc, at));
+                    resume = Some(cut);
                 }
                 // A deadlock retries from the latest cut (or from scratch).
             }
@@ -541,10 +397,10 @@ pub enum ManifestStatus {
 /// workload registry), resuming the merged group from the supervisor's
 /// last checkpoint instead of step zero.
 ///
-/// Theorem 1 licenses this exactly as it licenses [`Checkpoint`]: the cut
-/// plus the resumed execution is just another maximal interleaving of the
-/// same deterministic processes, so the final state is unchanged — which
-/// the distributed suites assert bitwise.
+/// Theorem 1 licenses this exactly as it licenses an in-process restore:
+/// the cut plus the resumed execution is just another maximal interleaving
+/// of the same deterministic processes, so the final state is unchanged —
+/// which the distributed suites assert bitwise.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupManifest {
     /// Global shadow step ordinal of the cut (diagnostics; replay-cost

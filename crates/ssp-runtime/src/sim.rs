@@ -19,7 +19,6 @@ use std::collections::VecDeque;
 use crate::chan::{ChannelId, Topology};
 use crate::error::RunError;
 use crate::fault::FaultPlan;
-use crate::json::JsonValue;
 use crate::observer::{NoopObserver, StepEvent, StepObserver};
 use crate::policy::SchedulePolicy;
 use crate::proc::{Effect, ProcId, Process};
@@ -466,63 +465,6 @@ impl<P: Process> Simulator<P> {
             }
         }
         buf
-    }
-
-    /// A structured JSON view of the *entire* simulator state — per-process
-    /// snapshot, progress counter, and status, every queued message (encoded
-    /// by `msg_bytes`), and the [`Simulator::state_fingerprint`]. This is
-    /// the data plane of a checkpoint manifest
-    /// ([`crate::recover::Checkpoint`]): the code plane (the processes
-    /// themselves) is rebuilt from source and re-validated against the
-    /// fingerprint on restore.
-    pub fn state_manifest(&self, msg_bytes: impl Fn(&P::Msg) -> Vec<u8>) -> JsonValue {
-        use std::collections::BTreeMap;
-        fn bytes_arr(b: &[u8]) -> JsonValue {
-            JsonValue::Arr(b.iter().map(|&x| JsonValue::Num(x as f64)).collect())
-        }
-        let procs: Vec<JsonValue> = self
-            .procs
-            .iter()
-            .zip(&self.status)
-            .map(|(p, s)| {
-                let mut m = BTreeMap::new();
-                m.insert("snapshot".to_string(), bytes_arr(&p.snapshot()));
-                m.insert("progress".to_string(), bytes_arr(&p.progress().to_le_bytes()));
-                let mut sm = BTreeMap::new();
-                match s {
-                    Status::Ready => {
-                        sm.insert("tag".to_string(), JsonValue::Str("ready".into()));
-                    }
-                    Status::BlockedRecv(c) => {
-                        sm.insert("tag".to_string(), JsonValue::Str("blocked_recv".into()));
-                        sm.insert("chan".to_string(), JsonValue::Num(c.0 as f64));
-                    }
-                    Status::BlockedSend(c, msg) => {
-                        sm.insert("tag".to_string(), JsonValue::Str("blocked_send".into()));
-                        sm.insert("chan".to_string(), JsonValue::Num(c.0 as f64));
-                        sm.insert("msg".to_string(), bytes_arr(&msg_bytes(msg)));
-                    }
-                    Status::Halted => {
-                        sm.insert("tag".to_string(), JsonValue::Str("halted".into()));
-                    }
-                }
-                m.insert("status".to_string(), JsonValue::Obj(sm));
-                JsonValue::Obj(m)
-            })
-            .collect();
-        let queues: Vec<JsonValue> = self
-            .queues
-            .iter()
-            .map(|q| JsonValue::Arr(q.iter().map(|m| bytes_arr(&msg_bytes(m))).collect()))
-            .collect();
-        let mut top = BTreeMap::new();
-        top.insert("procs".to_string(), JsonValue::Arr(procs));
-        top.insert("queues".to_string(), JsonValue::Arr(queues));
-        top.insert(
-            "fingerprint".to_string(),
-            bytes_arr(&self.state_fingerprint(&msg_bytes)),
-        );
-        JsonValue::Obj(top)
     }
 
     /// Export the simulator's entire data plane for another backend to
@@ -1130,15 +1072,9 @@ mod tests {
     }
 
     #[test]
-    fn state_manifest_round_trips_and_fingerprint_tracks_state() {
-        use crate::json::parse;
+    fn fingerprint_tracks_state() {
         let (topo, procs) = pair(3);
         let sim = Simulator::new(topo, procs);
-        let man = sim.state_manifest(|m| m.to_le_bytes().to_vec());
-        let text = man.to_json();
-        let back = parse(&text).unwrap();
-        assert_eq!(back, man, "manifest survives its own wire format");
-        assert_eq!(back.get("procs").unwrap().as_arr().unwrap().len(), 2);
         // Fingerprints differ once any process steps.
         let f0 = sim.state_fingerprint(|m| m.to_le_bytes().to_vec());
         let mut sim = sim;

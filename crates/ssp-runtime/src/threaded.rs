@@ -496,7 +496,6 @@ mod tests {
             faults,
             ThreadedConfig::default(),
             RecoveryConfig::every(2),
-            |m: &u64| m.to_le_bytes().to_vec(),
         )
         .unwrap();
         assert_eq!(out.snapshots, reference, "Theorem 1: recovery reaches the same state");

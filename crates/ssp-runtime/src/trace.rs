@@ -67,6 +67,11 @@ impl Trace {
         &self.events
     }
 
+    /// Drop every event after the first `len` (rolling back to a prefix).
+    pub fn truncate(&mut self, len: usize) {
+        self.events.truncate(len);
+    }
+
     /// Number of atomic actions taken.
     pub fn len(&self) -> usize {
         self.events.len()

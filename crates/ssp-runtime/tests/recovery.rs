@@ -6,10 +6,9 @@
 //! state bitwise identical to the uninjected run — a crashed-and-restarted
 //! execution is just another maximal interleaving.
 
-use ssp_runtime::recover::{replay_checkpoint, Checkpoint};
 use ssp_runtime::{
     run_recovering, run_simulated, ChannelId, Effect, FaultPlan, Process, RecoveryConfig,
-    RoundRobin, RunError, Simulator, Topology, Trace,
+    RoundRobin, RunError, Topology,
 };
 
 /// One node of a §3.3-disciplined ring exchange: for each of `rounds`
@@ -65,10 +64,6 @@ fn exchange_ring(n: usize, rounds: u64) -> (Topology, Vec<ExchangeNode>) {
         })
         .collect();
     (topo, procs)
-}
-
-fn msg_bytes(m: &u64) -> Vec<u8> {
-    m.to_le_bytes().to_vec()
 }
 
 /// The satellite property test: kill the run at **every** step index of the
@@ -134,78 +129,6 @@ fn multiple_crashes_and_stalls_recover_with_one_restart_each() {
         .faults_fired
         .iter()
         .all(|e| matches!(e, RunError::Injected { .. })));
-}
-
-/// The wire format: a checkpoint serialized to JSON restores by replaying
-/// its pick prefix through freshly built processes, fingerprint-verified,
-/// and the restored run finishes in the reference final state.
-#[test]
-fn checkpoint_manifest_replays_to_a_bitwise_identical_state() {
-    let (topo, procs) = exchange_ring(3, 3);
-    let reference = run_simulated(topo, procs, &mut RoundRobin::new()).unwrap();
-
-    // Execute a prefix of 9 steps by hand, then checkpoint.
-    let (topo, procs) = exchange_ring(3, 3);
-    let mut sim = Simulator::new(topo, procs);
-    let mut trace = Trace::new();
-    let mut picks = Vec::new();
-    let mut policy = RoundRobin::new();
-    for _ in 0..9 {
-        let runnable = sim.runnable();
-        let p = ssp_runtime::SchedulePolicy::pick(&mut policy, &runnable);
-        sim.step_process(p, &mut trace).unwrap();
-        picks.push(p);
-    }
-    let ckpt = Checkpoint::take(9, &picks, &sim, &FaultPlan::none(), &trace);
-    let json = ckpt.to_json(msg_bytes);
-
-    // Restore on "another machine": fresh initial processes, data from the
-    // wire, equivalence proven by replay + fingerprint.
-    let (topo, procs) = exchange_ring(3, 3);
-    let (mut restored, replayed) = replay_checkpoint(&json, topo, procs, msg_bytes).unwrap();
-    assert_eq!(replayed, picks);
-    assert_eq!(
-        restored.state_fingerprint(msg_bytes),
-        sim.state_fingerprint(msg_bytes),
-        "replayed state is bitwise the checkpointed state"
-    );
-
-    // Finishing the restored run reaches the reference final state.
-    let mut trace2 = Trace::new();
-    while !restored.is_done() {
-        let runnable = restored.runnable();
-        assert!(!runnable.is_empty());
-        restored.step_process(runnable[0], &mut trace2).unwrap();
-    }
-    assert_eq!(restored.snapshots_now(), reference.snapshots);
-}
-
-/// Tampered manifests are rejected, not silently restored.
-#[test]
-fn corrupt_checkpoint_manifests_are_rejected() {
-    let (topo, procs) = exchange_ring(3, 2);
-    let mut sim = Simulator::new(topo, procs);
-    let mut trace = Trace::new();
-    sim.step_process(0, &mut trace).unwrap();
-    let ckpt = Checkpoint::take(1, &[0], &sim, &FaultPlan::none(), &trace);
-    let json = ckpt.to_json(msg_bytes);
-
-    // Flip one fingerprint byte.
-    let tampered = json.replacen("\"fingerprint\":[", "\"fingerprint\":[250,", 1);
-    let (topo, procs) = exchange_ring(3, 2);
-    let err = match replay_checkpoint(&tampered, topo, procs, msg_bytes) {
-        Err(e) => e,
-        Ok(_) => panic!("tampered fingerprint was accepted"),
-    };
-    assert!(matches!(err, RunError::Protocol { .. }), "got {err}");
-
-    // Unparseable documents are protocol errors too.
-    let (topo, procs) = exchange_ring(3, 2);
-    let err = match replay_checkpoint("{not json", topo, procs, msg_bytes) {
-        Err(e) => e,
-        Ok(_) => panic!("garbage manifest was accepted"),
-    };
-    assert!(matches!(err, RunError::Protocol { .. }));
 }
 
 /// A genuine (program-bug) deadlock recurs on every lineage; the supervisor
